@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -198,9 +199,12 @@ class ResultStore:
         if os.path.exists(final):
             return
         os.makedirs(self.root, exist_ok=True)
-        tmp = f"{final}.tmp.{os.getpid()}"
+        # A temp name unique to this call, not just to this process: the
+        # service stores from several threads, which may store the same
+        # digest at once.
+        tmp = f"{final}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
+            with open(tmp, "x", encoding="utf-8") as handle:
                 handle.write(canonical_json(payload))
             os.replace(tmp, final)
         finally:

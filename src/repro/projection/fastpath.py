@@ -6,14 +6,19 @@ an :class:`~repro.xmltree.events.Event` object for every node of the
 about to discard.  Profiling shows parsing dominates the pipeline, so the
 fast path fuses all three stages onto the scanner:
 
-* tags are read **in bulk**: the scanner jumps straight to the closing
-  ``>`` (quote-aware, so ``>`` inside attribute values is handled) and a
-  compiled regex splits name and attributes at C speed — no
-  char-by-char name scanning and no event objects;
+* one compiled regex is the tokenizer: each match is a run of plain
+  character data followed by a plain start or end tag, split into name,
+  attributes and the empty-element slash at C speed — one ``re.match``
+  per token, no char-by-char scanning and no event objects;
+* anything the regex does not match (entity references, comments,
+  CDATA, processing instructions, a DOCTYPE, markup straddling a chunk
+  edge or over the token limit, malformed markup) goes to one
+  per-construct reader, :func:`_read_token`, which returns the same
+  token shape, so tag handling exists once per loop;
 * pruned subtrees are **bulk-skipped**: only a tag stack is maintained
   for well-formedness (tag nesting, attribute syntax, entity references,
-  comment/CDATA termination are still checked) — no attribute dicts and
-  no text strings are materialised;
+  comment/CDATA termination are still checked) — no events and no
+  attribute dicts are built;
 * kept content is serialized straight back out with buffered writes;
 * all keep/skip/filter decisions come from the same compiled
   :class:`~repro.projection.prunetable.PruneTable` as the event pruner,
@@ -30,7 +35,8 @@ prune-while-loading tree builder.
 from __future__ import annotations
 
 import re
-from typing import IO, TYPE_CHECKING, Iterator
+import sys
+from typing import IO, TYPE_CHECKING, Callable, Iterator
 
 from repro.dtd.grammar import Grammar
 from repro.errors import ValidationError
@@ -43,6 +49,7 @@ from repro.projection.stats import PruneStats
 from repro.xmltree.events import (
     Characters,
     Comment,
+    Doctype,
     EndDocument,
     EndElement,
     Event,
@@ -55,17 +62,33 @@ from repro.xmltree.serializer import WRITE_BUFFER_SIZE, escape_attribute, escape
 
 # The scanner's name alphabet (ASCII subset + full non-ASCII passthrough)
 # as a regex, so a whole tag read in bulk can be split in one match
-# instead of per-character ``read_name`` calls.
-_NAME = r"(?:[A-Za-z_:]|[^\x00-\x7f])(?:[A-Za-z0-9_.:\-]|[^\x00-\x7f])*"
-_START_TAG_RE = re.compile(
-    r"(" + _NAME + r")"
-    r"((?:\s+" + _NAME + r"\s*=\s*(?:\"[^\"]*\"|'[^']*'))*)"
-    r"\s*\Z"
-)
+# instead of per-character ``read_name`` calls.  Each position is one
+# class, not an alternation of an ASCII class and ``[^\x00-\x7f]``, which
+# matches faster; it is spelled as the ASCII characters it excludes,
+# because a class ranging up to U+10FFFF takes ~10 ms to compile.
+_NAME_START = r"[^\x00-\x39\x3b-\x40\x5b-\x5e\x60\x7b-\x7f]"  # A-Z a-z _ : non-ASCII
+_NAME_CHAR = r"[^\x00-\x2c\x2f\x3b-\x40\x5b-\x5e\x60\x7b-\x7f]"  # also 0-9 . -
+_NAME = _NAME_START + _NAME_CHAR + "*"
+_ATTRIBUTES = r"(?:\s+" + _NAME + r"\s*=\s*(?:\"[^\"]*\"|'[^']*'))*"
+_START_TAG_RE = re.compile(r"(" + _NAME + r")(" + _ATTRIBUTES + r")\s*\Z")
 _ATTR_RE = re.compile(r"\s+(" + _NAME + r")\s*=\s*(?:\"([^\"]*)\"|'([^']*)')")
 _END_TAG_RE = re.compile(r"(" + _NAME + r")\s*\Z")
-# Closing tag with its leading '/', for the skip loop's zero-advance path.
+# Closing tag with its leading '/', as the skip loop reads it.
 _CLOSE_TAG_RE = re.compile(r"/(" + _NAME + r")\s*\Z")
+#: The tokenizer: plain character data (no ``<``, no ``&``) followed by a
+#: plain end tag or start tag, in the groups ``(text, closing, tag,
+#: attributes, slash)``.  Built from the same pieces as the per-construct
+#: regexes above, it accepts a strict subset of what they accept and
+#: splits it into the same groups; everything else is a miss.
+_TOKEN_RE = re.compile(
+    r"([^<&]*)<(?:/(" + _NAME + r")\s*"
+    r"|(" + _NAME + r")(" + _ATTRIBUTES + r")\s*(/?))>"
+)
+
+#: What :func:`_read_token` returns for a CDATA section or processing
+#: instruction it skipped unread inside a discarded subtree.
+_SKIPPED_CDATA = Characters("")
+_SKIPPED_PI = ProcessingInstruction("", "")
 
 
 def _read_text_run(scanner: Scanner) -> str:
@@ -104,6 +127,109 @@ def _toplevel_text(scanner: Scanner) -> None:
     text = _read_text_run(scanner)
     if text.strip():
         raise scanner.error("character data outside the root element")
+
+
+def _read_token(
+    scanner: Scanner,
+    helper: EventParser | None,
+    depth: int,
+    keep_text: bool,
+    skipping: bool = False,
+    seen_root: bool = True,
+) -> tuple:
+    """Read one token the hard way, construct by construct: what a
+    :data:`_TOKEN_RE` miss leaves to the scanner's bulk readers.
+
+    Returns the regex's groups plus one field, ``(text, closing, tag,
+    attributes, slash, misc)``.  ``text`` is the character data before the
+    construct: the string (entity references expanded) when
+    ``keep_text``, otherwise whether there was any.  ``misc`` is the
+    :class:`Comment`, :class:`ProcessingInstruction`, :class:`Doctype` or
+    (for a CDATA section) :class:`Characters` event; a token with neither
+    a tag nor ``misc`` is the end of the input.  ``depth`` 0 means
+    outside the root element, where only whitespace, misc markup and the
+    root itself may appear.  ``skipping`` reads a discarded subtree: CDATA
+    and processing-instruction bodies are skipped unread (the
+    :data:`_SKIPPED_CDATA`/:data:`_SKIPPED_PI` placeholders come back).
+    """
+    if depth:
+        text = _read_text_run(scanner) if keep_text else _skip_text_run(scanner)
+        if scanner.at_eof():
+            return text, None, None, None, None, None
+    else:
+        text = ""
+        while True:
+            scanner.skip_whitespace()
+            if scanner.at_eof():
+                return text, None, None, None, None, None
+            if scanner.peek() == "<":
+                break
+            _toplevel_text(scanner)
+    scanner.advance()  # '<' — text runs stop only at '<' or EOF
+    char = scanner.peek()
+    if char == "/":
+        if skipping:
+            raw = scanner.read_tag_content("closing tag")  # includes '/'
+            match = _CLOSE_TAG_RE.match(raw)
+            if match is None:
+                raise scanner.error(f"malformed closing tag <{raw[:20]}>")
+        else:
+            scanner.advance()
+            raw = scanner.read_tag_content("closing tag")
+            match = _END_TAG_RE.match(raw)
+            if match is None:
+                raise scanner.error(f"malformed closing tag </{raw[:20]}>")
+        return text, match.group(1), None, None, None, None
+    if char == "!":
+        scanner.advance()
+        if scanner.try_consume("--"):
+            body = scanner.read_until("-->", "comment")
+            if "--" in body:
+                raise scanner.error("'--' not allowed inside a comment")
+            return text, None, None, None, None, Comment(body)
+        if scanner.try_consume("[CDATA["):
+            if not depth:
+                raise scanner.error("CDATA section outside the root element")
+            if skipping:
+                scanner.skip_until("]]>", "CDATA section")
+                return text, None, None, None, None, _SKIPPED_CDATA
+            body = scanner.read_until("]]>", "CDATA section")
+            return text, None, None, None, None, Characters(body)
+        if scanner.startswith("DOCTYPE"):
+            if seen_root:
+                raise scanner.error("DOCTYPE after the root element")
+            assert helper is not None
+            return text, None, None, None, None, helper._parse_doctype()
+        raise scanner.error("unrecognised markup declaration")
+    if char == "?":
+        scanner.advance()
+        target = scanner.read_name("processing-instruction target")
+        if skipping:
+            scanner.skip_until("?>", "processing instruction")
+            return text, None, None, None, None, _SKIPPED_PI
+        data = scanner.read_until("?>", "processing instruction").lstrip()
+        return text, None, None, None, None, ProcessingInstruction(target, data)
+    if seen_root and not depth:
+        raise scanner.error("multiple root elements")
+    raw = scanner.read_tag_content("start tag")
+    empty = raw.endswith("/")
+    content = raw[:-1] if empty else raw
+    match = _START_TAG_RE.match(content)
+    if match is None:
+        raise scanner.error(f"malformed start tag <{content[:20]}>")
+    return text, None, match.group(1), match.group(2), "/" if empty else "", None
+
+
+def _governor(guard: "LimitGuard | None") -> tuple[Callable[[], None] | None, int]:
+    """The guard as the token loops use it: the deadline tick, or ``None``
+    when no deadline is set, and the depth bound as a plain integer the
+    loops compare against inline (they call the guard only to raise).
+    Token sizes are bounded by :meth:`Scanner.match_token` and the
+    readers."""
+    if guard is None:
+        return None, sys.maxsize
+    tick = guard.tick if guard.deadline_at is not None else None
+    return tick, sys.maxsize if guard.max_depth is None else guard.max_depth
 
 
 def _check_duplicates(scanner: Scanner, tag: str, names: list[str]) -> None:
@@ -161,7 +287,9 @@ class FastPruner:
         written.  Output is byte-identical to the event pipeline's
         (``write_events(..., declaration=False)``)."""
         guard = self.guard
+        tick, max_depth = _governor(guard)
         scanner = Scanner(source, chunk_size, guard=guard)
+        match_token = scanner.match_token
         helper = EventParser(scanner)
         stats = self.stats
         table = self.table
@@ -182,20 +310,20 @@ class FastPruner:
         helper._parse_prolog()  # consumes an XML declaration if present
 
         while True:
-            if guard is not None:
-                guard.tick()
-            if not open_kept:
-                scanner.skip_whitespace()
-                if scanner.at_eof():
-                    break
-                if scanner.peek() != "<":
-                    _toplevel_text(scanner)
-                    continue
-            else:
+            if tick is not None:
+                tick()
+            if open_kept:
                 plan = open_kept[-1][1]
-                if plan.text_kept:
-                    text = _read_text_run(scanner)
-                    if text:
+                token = match_token(_TOKEN_RE)
+                if token is not None:
+                    text, closing, tag, attrs_text, slash = token
+                    misc = None
+                else:
+                    text, closing, tag, attrs_text, slash, misc = _read_token(
+                        scanner, helper, len(open_kept), plan.text_kept
+                    )
+                if text:
+                    if plan.text_kept:
                         if stats is not None:
                             stats.texts_in += 1
                             stats.texts_out += 1
@@ -219,84 +347,19 @@ class FastPruner:
                         else:
                             out.append(piece)
                             out_length += len(piece)
-                elif _skip_text_run(scanner):
-                    if stats is not None:
+                    elif stats is not None:
                         stats.texts_in += 1
-                if scanner.at_eof():
-                    raise scanner.error(f"unclosed element <{open_kept[-1][0]}>")
-            scanner.advance()  # '<' — text runs stop only at '<' or EOF
-            char = scanner.peek()
-            if char == "!":
-                scanner.advance()
-                if scanner.try_consume("--"):
-                    text = scanner.read_until("-->", "comment")
-                    if "--" in text:
-                        raise scanner.error("'--' not allowed inside a comment")
-                    if pending is not None:
-                        out.append(pending)
-                        out.append(">")
-                        out_length += len(pending) + 1
-                        pending = None
-                    piece = f"<!--{text}-->"
-                    out.append(piece)
-                    out_length += len(piece)
-                elif scanner.try_consume("[CDATA["):
-                    if not open_kept:
-                        raise scanner.error("CDATA section outside the root element")
-                    text = scanner.read_until("]]>", "CDATA section")
-                    if stats is not None:
-                        stats.texts_in += 1
-                    if open_kept[-1][1].text_kept:
-                        if stats is not None:
-                            stats.texts_out += 1
-                        if pending is not None:
-                            out.append(pending)
-                            out.append(">")
-                            out_length += len(pending) + 1
-                            pending = None
-                        piece = escape_text(text)
-                        if len(piece) >= buffer_size:
-                            if out:
-                                written += out_length
-                                sink.write("".join(out))
-                                out.clear()
-                                out_length = 0
-                            written += len(piece)
-                            sink.write(piece)
-                        else:
-                            out.append(piece)
-                            out_length += len(piece)
-                elif scanner.startswith("DOCTYPE"):
-                    if seen_root:
-                        raise scanner.error("DOCTYPE after the root element")
-                    helper._parse_doctype()  # validated, no output
-                else:
-                    raise scanner.error("unrecognised markup declaration")
-            elif char == "?":
-                scanner.advance()
-                target = scanner.read_name("processing-instruction target")
-                data = scanner.read_until("?>", "processing instruction").lstrip()
-                if pending is not None:
-                    out.append(pending)
-                    out.append(">")
-                    out_length += len(pending) + 1
-                    pending = None
-                piece = f"<?{target} {data}?>" if data else f"<?{target}?>"
-                out.append(piece)
-                out_length += len(piece)
-            elif char == "/":
-                scanner.advance()
-                raw = scanner.read_tag_content("closing tag")
-                match = _END_TAG_RE.match(raw)
-                if match is None:
-                    raise scanner.error(f"malformed closing tag </{raw[:20]}>")
-                tag = match.group(1)
+            else:
+                text, closing, tag, attrs_text, slash, misc = _read_token(
+                    scanner, helper, 0, False, seen_root=seen_root
+                )
+            if closing is not None:
                 if not open_kept:
-                    raise scanner.error(f"closing tag </{tag}> with no open element")
+                    raise scanner.error(f"closing tag </{closing}> with no open element")
                 expected = open_kept.pop()[0]
-                if expected != tag:
+                if expected != closing:
                     raise scanner.error(
-                        f"mismatched closing tag </{tag}>, expected </{expected}>"
+                        f"mismatched closing tag </{closing}>, expected </{expected}>"
                     )
                 if pending is not None:
                     out.append(pending)
@@ -304,20 +367,10 @@ class FastPruner:
                     out_length += len(pending) + 2
                     pending = None
                 else:
-                    piece = f"</{tag}>"
+                    piece = f"</{closing}>"
                     out.append(piece)
                     out_length += len(piece)
-            else:
-                if seen_root and not open_kept:
-                    raise scanner.error("multiple root elements")
-                raw = scanner.read_tag_content("start tag")
-                empty = raw.endswith("/")
-                content = raw[:-1] if empty else raw
-                match = _START_TAG_RE.match(content)
-                if match is None:
-                    raise scanner.error(f"malformed start tag <{content[:20]}>")
-                tag = match.group(1)
-                attrs_text = match.group(2)
+            elif tag is not None:
                 if local:
                     plan = by_tag.get(tag)
                 else:
@@ -350,7 +403,7 @@ class FastPruner:
                         out.append(">")
                         out_length += len(pending) + 1
                     markup = f"<{tag}{rendered}"
-                    if empty:
+                    if slash:
                         out.append(markup)
                         out.append("/>")
                         out_length += len(markup) + 2
@@ -358,8 +411,8 @@ class FastPruner:
                     else:
                         pending = markup
                         open_kept.append((tag, plan))
-                        if guard is not None:
-                            guard.check_depth(len(open_kept))
+                        if len(open_kept) > max_depth:
+                            guard.check_depth(len(open_kept))  # type: ignore[union-attr]
                 else:
                     count = (
                         self._validate_skipped_attributes(scanner, tag, attrs_text)
@@ -370,19 +423,58 @@ class FastPruner:
                         stats.elements_in += 1
                         stats.attributes_in += count
                         stats.distinct_tags_in.add(tag)
-                    if not empty:
-                        self._skip_subtree(scanner, tag, stats, len(open_kept))
+                    if not slash:
+                        self._skip_subtree(
+                            scanner, tag, stats, len(open_kept), tick, max_depth
+                        )
+            elif misc is not None:
+                kind = type(misc)
+                if kind is Characters:  # a CDATA section
+                    if stats is not None:
+                        stats.texts_in += 1
+                    if plan.text_kept:
+                        if stats is not None:
+                            stats.texts_out += 1
+                        if pending is not None:
+                            out.append(pending)
+                            out.append(">")
+                            out_length += len(pending) + 1
+                            pending = None
+                        piece = escape_text(misc.text)
+                        if len(piece) >= buffer_size:
+                            if out:
+                                written += out_length
+                                sink.write("".join(out))
+                                out.clear()
+                                out_length = 0
+                            written += len(piece)
+                            sink.write(piece)
+                        else:
+                            out.append(piece)
+                            out_length += len(piece)
+                elif kind is not Doctype:  # a DOCTYPE is validated, not copied
+                    if pending is not None:
+                        out.append(pending)
+                        out.append(">")
+                        out_length += len(pending) + 1
+                        pending = None
+                    if kind is Comment:
+                        piece = f"<!--{misc.text}-->"
+                    elif misc.data:
+                        piece = f"<?{misc.target} {misc.data}?>"
+                    else:
+                        piece = f"<?{misc.target}?>"
+                    out.append(piece)
+                    out_length += len(piece)
+            elif open_kept:
+                raise scanner.error(f"unclosed element <{open_kept[-1][0]}>")
+            else:
+                break
             if out_length >= buffer_size:
                 written += out_length
                 sink.write("".join(out))
                 out.clear()
                 out_length = 0
-            if not open_kept and seen_root:
-                scanner.skip_whitespace()
-                if scanner.at_eof():
-                    break
-        if open_kept:
-            raise scanner.error(f"unclosed element <{open_kept[-1][0]}>")
         if not seen_root:
             raise scanner.error("document has no root element")
         if out:
@@ -407,7 +499,9 @@ class FastPruner:
         ``prune_events(parse_events(source), ...)`` but pruned subtrees
         are bulk-skipped instead of parsed into events."""
         guard = self.guard
+        tick, max_depth = _governor(guard)
         scanner = Scanner(source, chunk_size, guard=guard)
+        match_token = scanner.match_token
         helper = EventParser(scanner)
         stats = self.stats
         table = self.table
@@ -418,85 +512,40 @@ class FastPruner:
         yield helper._parse_prolog()
 
         while True:
-            if guard is not None:
-                guard.tick()
-            if not open_kept:
-                scanner.skip_whitespace()
-                if scanner.at_eof():
-                    break
-                if scanner.peek() != "<":
-                    _toplevel_text(scanner)
-                    continue
-            else:
+            if tick is not None:
+                tick()
+            if open_kept:
                 plan = open_kept[-1][1]
-                if plan.text_kept:
-                    text = _read_text_run(scanner)
-                    if text:
+                token = match_token(_TOKEN_RE)
+                if token is not None:
+                    text, closing, tag, attrs_text, slash = token
+                    misc = None
+                else:
+                    text, closing, tag, attrs_text, slash, misc = _read_token(
+                        scanner, helper, len(open_kept), plan.text_kept
+                    )
+                if text:
+                    if plan.text_kept:
                         if stats is not None:
                             stats.texts_in += 1
                             stats.texts_out += 1
                         yield Characters(text)
-                elif _skip_text_run(scanner):
-                    if stats is not None:
+                    elif stats is not None:
                         stats.texts_in += 1
-                if scanner.at_eof():
-                    raise scanner.error(f"unclosed element <{open_kept[-1][0]}>")
-            scanner.advance()  # '<' — text runs stop only at '<' or EOF
-            char = scanner.peek()
-            if char == "!":
-                scanner.advance()
-                if scanner.try_consume("--"):
-                    text = scanner.read_until("-->", "comment")
-                    if "--" in text:
-                        raise scanner.error("'--' not allowed inside a comment")
-                    yield Comment(text)
-                elif scanner.try_consume("[CDATA["):
-                    if not open_kept:
-                        raise scanner.error("CDATA section outside the root element")
-                    text = scanner.read_until("]]>", "CDATA section")
-                    if stats is not None:
-                        stats.texts_in += 1
-                    if open_kept[-1][1].text_kept:
-                        if stats is not None:
-                            stats.texts_out += 1
-                        yield Characters(text)
-                elif scanner.startswith("DOCTYPE"):
-                    if seen_root:
-                        raise scanner.error("DOCTYPE after the root element")
-                    yield helper._parse_doctype()
-                else:
-                    raise scanner.error("unrecognised markup declaration")
-            elif char == "?":
-                scanner.advance()
-                target = scanner.read_name("processing-instruction target")
-                data = scanner.read_until("?>", "processing instruction").lstrip()
-                yield ProcessingInstruction(target, data)
-            elif char == "/":
-                scanner.advance()
-                raw = scanner.read_tag_content("closing tag")
-                match = _END_TAG_RE.match(raw)
-                if match is None:
-                    raise scanner.error(f"malformed closing tag </{raw[:20]}>")
-                tag = match.group(1)
-                if not open_kept:
-                    raise scanner.error(f"closing tag </{tag}> with no open element")
-                expected = open_kept.pop()[0]
-                if expected != tag:
-                    raise scanner.error(
-                        f"mismatched closing tag </{tag}>, expected </{expected}>"
-                    )
-                yield EndElement(tag)
             else:
-                if seen_root and not open_kept:
-                    raise scanner.error("multiple root elements")
-                raw = scanner.read_tag_content("start tag")
-                empty = raw.endswith("/")
-                content = raw[:-1] if empty else raw
-                match = _START_TAG_RE.match(content)
-                if match is None:
-                    raise scanner.error(f"malformed start tag <{content[:20]}>")
-                tag = match.group(1)
-                attrs_text = match.group(2)
+                text, closing, tag, attrs_text, slash, misc = _read_token(
+                    scanner, helper, 0, False, seen_root=seen_root
+                )
+            if closing is not None:
+                if not open_kept:
+                    raise scanner.error(f"closing tag </{closing}> with no open element")
+                expected = open_kept.pop()[0]
+                if expected != closing:
+                    raise scanner.error(
+                        f"mismatched closing tag </{closing}>, expected </{expected}>"
+                    )
+                yield EndElement(closing)
+            elif tag is not None:
                 if local:
                     plan = table.by_tag.get(tag)
                 else:
@@ -522,12 +571,12 @@ class FastPruner:
                         stats.attributes_out += len(attributes)
                         stats.distinct_tags_out.add(tag)
                     yield StartElement(tag, attributes)
-                    if empty:
+                    if slash:
                         yield EndElement(tag)
                     else:
                         open_kept.append((tag, plan))
-                        if guard is not None:
-                            guard.check_depth(len(open_kept))
+                        if len(open_kept) > max_depth:
+                            guard.check_depth(len(open_kept))  # type: ignore[union-attr]
                 else:
                     count = (
                         self._validate_skipped_attributes(scanner, tag, attrs_text)
@@ -538,14 +587,24 @@ class FastPruner:
                         stats.elements_in += 1
                         stats.attributes_in += count
                         stats.distinct_tags_in.add(tag)
-                    if not empty:
-                        self._skip_subtree(scanner, tag, stats, len(open_kept))
-            if not open_kept and seen_root:
-                scanner.skip_whitespace()
-                if scanner.at_eof():
-                    break
-        if open_kept:
-            raise scanner.error(f"unclosed element <{open_kept[-1][0]}>")
+                    if not slash:
+                        self._skip_subtree(
+                            scanner, tag, stats, len(open_kept), tick, max_depth
+                        )
+            elif misc is not None:
+                if type(misc) is Characters:  # a CDATA section
+                    if stats is not None:
+                        stats.texts_in += 1
+                    if plan.text_kept:
+                        if stats is not None:
+                            stats.texts_out += 1
+                        yield misc
+                else:
+                    yield misc
+            elif open_kept:
+                raise scanner.error(f"unclosed element <{open_kept[-1][0]}>")
+            else:
+                break
         if not seen_root:
             raise scanner.error("document has no root element")
         yield EndDocument()
@@ -621,71 +680,43 @@ class FastPruner:
         scanner: Scanner,
         first_tag: str,
         stats: PruneStats | None,
-        base_depth: int = 0,
+        base_depth: int,
+        tick: Callable[[], None] | None,
+        max_depth: int,
     ) -> None:
         """Bulk-skip the content of a discarded element up to and
         including its end tag, maintaining only a tag stack for
         well-formedness and the stats counters the event path would have
         gathered.  ``base_depth`` is the kept-element nesting above this
         subtree, so the depth limit sees the document's true depth even
-        inside discarded regions."""
-        guard = self.guard
+        inside discarded regions; ``tick`` and ``max_depth`` come from
+        :func:`_governor`."""
+        match_token = scanner.match_token
         open_tags = [first_tag]
-        if guard is not None:
-            guard.check_depth(base_depth + 1)
-        while open_tags:
-            if guard is not None:
-                guard.tick()
-            saw, opened, char = scanner.skip_text_open()
-            while not opened:
-                if char == "":
-                    raise scanner.error(f"unclosed element <{open_tags[-1]}>")
-                scanner.advance()  # '&'
-                name = scanner.read_until(";", "entity reference")
-                expand_entity(name, scanner)
-                saw = True
-                more, opened, char = scanner.skip_text_open()
-                saw = saw or more
-            if saw and stats is not None:
+        if base_depth + 1 > max_depth:
+            self.guard.check_depth(base_depth + 1)  # type: ignore[union-attr]
+        while True:
+            if tick is not None:
+                tick()
+            token = match_token(_TOKEN_RE)
+            if token is not None:
+                text, closing, tag, attrs_text, slash = token
+                misc = None
+            else:
+                text, closing, tag, attrs_text, slash, misc = _read_token(
+                    scanner, None, base_depth + len(open_tags), False, skipping=True
+                )
+            if text and stats is not None:
                 stats.texts_in += 1
-            if char == "!":
-                scanner.advance()
-                if scanner.try_consume("--"):
-                    text = scanner.read_until("-->", "comment")
-                    if "--" in text:
-                        raise scanner.error("'--' not allowed inside a comment")
-                elif scanner.try_consume("[CDATA["):
-                    scanner.skip_until("]]>", "CDATA section")
-                    if stats is not None:
-                        stats.texts_in += 1
-                elif scanner.startswith("DOCTYPE"):
-                    raise scanner.error("DOCTYPE after the root element")
-                else:
-                    raise scanner.error("unrecognised markup declaration")
-            elif char == "?":
-                scanner.advance()
-                scanner.read_name("processing-instruction target")
-                scanner.skip_until("?>", "processing instruction")
-            elif char == "/":
-                raw = scanner.read_tag_content("closing tag")  # includes '/'
-                match = _CLOSE_TAG_RE.match(raw)
-                if match is None:
-                    raise scanner.error(f"malformed closing tag <{raw[:20]}>")
-                closing = match.group(1)
+            if closing is not None:
                 expected = open_tags.pop()
                 if expected != closing:
                     raise scanner.error(
                         f"mismatched closing tag </{closing}>, expected </{expected}>"
                     )
-            else:
-                raw = scanner.read_tag_content("start tag")
-                empty = raw.endswith("/")
-                content = raw[:-1] if empty else raw
-                match = _START_TAG_RE.match(content)
-                if match is None:
-                    raise scanner.error(f"malformed start tag <{content[:20]}>")
-                tag = match.group(1)
-                attrs_text = match.group(2)
+                if not open_tags:
+                    return
+            elif tag is not None:
                 count = (
                     self._validate_skipped_attributes(scanner, tag, attrs_text)
                     if attrs_text
@@ -695,7 +726,12 @@ class FastPruner:
                     stats.elements_in += 1
                     stats.attributes_in += count
                     stats.distinct_tags_in.add(tag)
-                if not empty:
+                if not slash:
                     open_tags.append(tag)
-                    if guard is not None:
-                        guard.check_depth(base_depth + len(open_tags))
+                    if base_depth + len(open_tags) > max_depth:
+                        self.guard.check_depth(base_depth + len(open_tags))  # type: ignore[union-attr]
+            elif misc is not None:
+                if misc is _SKIPPED_CDATA and stats is not None:
+                    stats.texts_in += 1
+            else:
+                raise scanner.error(f"unclosed element <{open_tags[-1]}>")

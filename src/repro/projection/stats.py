@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro.xmltree.nodes import Document, Element, Text
@@ -100,6 +101,17 @@ class PruneStats:
             self.distinct_tags_in,
             self.distinct_tags_out,
         ) = snap
+
+    def __getstate__(self) -> tuple:
+        return self.snapshot()
+
+    def __setstate__(self, state: tuple) -> None:
+        # Unpickling is how per-document stats reach the parent of a
+        # batch: intern the tag names, so a result set holds one copy of
+        # each name instead of one per document.
+        self.restore(state)
+        self.distinct_tags_in = {sys.intern(tag) for tag in self.distinct_tags_in}
+        self.distinct_tags_out = {sys.intern(tag) for tag in self.distinct_tags_out}
 
     def merge(self, other: "PruneStats") -> "PruneStats":
         """Accumulate another pass's counters into this one (corpus-level

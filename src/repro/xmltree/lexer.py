@@ -11,6 +11,8 @@ large documents").
 
 from __future__ import annotations
 
+import re
+import sys
 from typing import IO, TYPE_CHECKING, Union
 
 from repro.errors import XMLSyntaxError
@@ -42,7 +44,7 @@ def is_name_char(char: str) -> bool:
 
 
 class Scanner:
-    """Incremental look-ahead scanner with line/column tracking.
+    """Incremental look-ahead scanner over a chunked character buffer.
 
     The public protocol used by the parser:
 
@@ -50,10 +52,21 @@ class Scanner:
     * :meth:`startswith` / :meth:`expect` — multi-character look-ahead;
     * :meth:`read_until` — consume up to (not including) a delimiter,
       loading more input as needed;
-    * :meth:`read_name`, :meth:`skip_whitespace` — token helpers.
+    * :meth:`read_name`, :meth:`skip_whitespace` — token helpers;
+    * :meth:`match_token` — consume one whole token matched by a
+      compiled regex against the buffered input (the fused pruner's
+      tokenizer).
+
+    Line and column numbers are computed only when an error is built:
+    consuming input never counts newlines.  The one eager count happens
+    when a consumed prefix is dropped from the buffer, so diagnostics
+    still see the whole input while the hot loops pay nothing for them.
     """
 
-    __slots__ = ("_source", "_buffer", "_position", "_eof", "_chunk_size", "_line", "_line_start_offset", "_consumed", "_guard")
+    __slots__ = (
+        "_source", "_buffer", "_position", "_eof", "_chunk_size", "_consumed",
+        "_dropped_lines", "_dropped_line_start", "_guard", "_max_token",
+    )
 
     def __init__(
         self,
@@ -62,6 +75,8 @@ class Scanner:
         guard: "LimitGuard | None" = None,
     ) -> None:
         self._guard = guard
+        max_token = guard.max_token if guard is not None else None
+        self._max_token = sys.maxsize if max_token is None else max_token
         if isinstance(source, str):
             self._source: IO[str] | None = None
             self._buffer = source
@@ -76,11 +91,11 @@ class Scanner:
             self._eof = False
         self._position = 0
         self._chunk_size = chunk_size
-        self._line = 1
-        # Offset (in total consumed characters) where the current line began;
-        # used to derive a column number for error messages.
-        self._line_start_offset = 0
         self._consumed = 0  # characters dropped by buffer compaction
+        # Newlines in the dropped characters, and the absolute offset just
+        # past the last of them: all error() needs from the dropped input.
+        self._dropped_lines = 0
+        self._dropped_line_start = 0
 
     @property
     def guard(self) -> "LimitGuard | None":
@@ -90,26 +105,48 @@ class Scanner:
 
     # -- diagnostics -----------------------------------------------------
 
+    def _location(self) -> tuple[int, int]:
+        """1-based (line, column) of the current position."""
+        buffer = self._buffer
+        position = self._position
+        line = self._dropped_lines + buffer.count("\n", 0, position) + 1
+        last = buffer.rfind("\n", 0, position)
+        line_start = self._dropped_line_start if last == -1 else self._consumed + last + 1
+        return line, self._consumed + position - line_start + 1
+
     @property
     def line(self) -> int:
-        return self._line
+        return self._location()[0]
 
     @property
     def column(self) -> int:
-        return self._consumed + self._position - self._line_start_offset + 1
+        return self._location()[1]
 
     @property
     def chars_consumed(self) -> int:
-        """Characters consumed so far — the ``bytes``-ish quantity the
-        observability layer reports for parse/prune spans (exact UTF-8
-        byte counts would require re-encoding; character counts track the
-        same curve and are free)."""
+        """Characters consumed so far: the quantity the observability
+        layer reports for parse/prune spans.  These are decoded
+        characters, not UTF-8 bytes; the two agree on ASCII input, and
+        counting characters needs no re-encoding."""
         return self._consumed + self._position
 
     def error(self, message: str) -> XMLSyntaxError:
-        return XMLSyntaxError(message, self._line, self.column)
+        line, column = self._location()
+        return XMLSyntaxError(message, line, column)
 
     # -- buffer management ----------------------------------------------
+
+    def _drop_consumed(self) -> None:
+        """Forget the consumed prefix ``buffer[:position]`` (the caller
+        rebinds the buffer), keeping only its newline count for
+        :meth:`error`."""
+        buffer = self._buffer
+        position = self._position
+        newlines = buffer.count("\n", 0, position)
+        if newlines:
+            self._dropped_lines += newlines
+            self._dropped_line_start = self._consumed + buffer.rfind("\n", 0, position) + 1
+        self._consumed += position
 
     def _fill(self, needed: int) -> None:
         """Ensure at least ``needed`` characters are available after the
@@ -121,9 +158,9 @@ class Scanner:
             # Fully-consumed buffer: drop it before refilling so the
             # ``+=`` below binds the fresh chunk directly (CPython returns
             # the chunk itself when concatenating onto ``""``) instead of
-            # copying the dead prefix along with it.  Diagnostics only
-            # depend on ``consumed + position``, which is preserved.
-            self._consumed += self._position
+            # copying the dead prefix along with it.  Diagnostics keep
+            # what they need of the prefix (see _drop_consumed).
+            self._drop_consumed()
             self._buffer = ""
             self._position = 0
         while len(self._buffer) - self._position < needed:
@@ -139,19 +176,13 @@ class Scanner:
             self._buffer += chunk
 
     def _compact(self) -> None:
-        """Drop already-consumed characters so the buffer stays small."""
-        if self._position > self._chunk_size:
-            self._consumed += self._position
+        """Drop already-consumed characters so the buffer stays small.
+        Once the source is exhausted nothing more is appended, so there
+        is nothing left to bound (a string source is never copied)."""
+        if self._position > self._chunk_size and not self._eof:
+            self._drop_consumed()
             self._buffer = self._buffer[self._position :]
             self._position = 0
-
-    def _count_newlines(self, text: str) -> None:
-        newlines = text.count("\n")
-        if newlines:
-            self._line += newlines
-            # Column restarts after the last newline in the consumed text.
-            last = text.rfind("\n")
-            self._line_start_offset = self._consumed + self._position + last + 1
 
     # -- single character protocol ----------------------------------------
 
@@ -180,13 +211,28 @@ class Scanner:
             return ""
         char = self._buffer[self._position]
         self._position += 1
-        if char == "\n":
-            self._line += 1
-            self._line_start_offset = self._consumed + self._position
         self._compact()
         return char
 
     # -- multi character protocol ------------------------------------------
+
+    def match_token(self, pattern: "re.Pattern[str]") -> "tuple[str | None, ...] | None":
+        """Match ``pattern`` at the current position against the buffered
+        input, consume the match and return its groups; ``None`` (nothing
+        consumed) on a miss.  No input is loaded, so a token that
+        straddles the end of the buffer is a miss, as is a match longer
+        than the guard's ``max_token_bytes``: the caller falls back to
+        the per-construct readers, which refill and enforce the limit
+        themselves.  Only the groups are returned, never the match, which
+        would keep the whole buffer alive after compaction drops it."""
+        position = self._position
+        match = pattern.match(self._buffer, position)
+        if match is not None:
+            end = match.end()
+            if end - position <= self._max_token:
+                self._position = end
+                return match.groups()
+        return None
 
     def startswith(self, prefix: str) -> bool:
         self._fill(len(prefix))
@@ -195,7 +241,6 @@ class Scanner:
     def try_consume(self, prefix: str) -> bool:
         """Consume ``prefix`` if present, returning whether it was."""
         if self.startswith(prefix):
-            self._count_newlines(prefix)
             self._position += len(prefix)
             self._compact()
             return True
@@ -219,7 +264,6 @@ class Scanner:
                 text = self._buffer[self._position : index]
                 if guard is not None:
                     guard.check_token(total + len(text))
-                self._count_newlines(text + delimiter)
                 self._position = index + len(delimiter)
                 self._compact()
                 pieces.append(text)
@@ -232,7 +276,6 @@ class Scanner:
             cut = max(self._position, len(self._buffer) - keep)
             text = self._buffer[self._position : cut]
             if text:
-                self._count_newlines(text)
                 pieces.append(text)
                 self._position = cut
                 if guard is not None:
@@ -251,6 +294,23 @@ class Scanner:
                 where = f" in {context}" if context else ""
                 raise self.error(f"unexpected end of input looking for {delimiter!r}{where}")
 
+    def _nearest(self, delimiters: str) -> int:
+        """Buffer index of the nearest of the single-character
+        ``delimiters`` at or after the position, or -1.  Each search
+        stops at the nearest hit so far, so a delimiter that is rare in
+        the input does not send a scan to the end of the buffer."""
+        buffer = self._buffer
+        position = self._position
+        best = -1
+        for delimiter in delimiters:
+            if best == -1:
+                best = buffer.find(delimiter, position)
+            else:
+                index = buffer.find(delimiter, position, best)
+                if index != -1:
+                    best = index
+        return best
+
     def read_until_any(self, delimiters: str) -> str:
         """Consume and return everything up to (not including) the nearest
         of ``delimiters``; stops at end of input.  Bulk operation — this is
@@ -259,23 +319,17 @@ class Scanner:
         total = 0
         guard = self._guard
         while True:
-            best = -1
-            for delimiter in delimiters:
-                index = self._buffer.find(delimiter, self._position)
-                if index != -1 and (best == -1 or index < best):
-                    best = index
+            best = self._nearest(delimiters)
             if best != -1:
                 text = self._buffer[self._position : best]
                 if guard is not None:
                     guard.check_token(total + len(text))
-                self._count_newlines(text)
                 self._position = best
                 self._compact()
                 pieces.append(text)
                 return "".join(pieces)
             text = self._buffer[self._position :]
             if text:
-                self._count_newlines(text)
                 pieces.append(text)
                 self._position = len(self._buffer)
                 if guard is not None:
@@ -283,7 +337,6 @@ class Scanner:
                     guard.check_token(total)
             if self._eof:
                 return "".join(pieces)
-            before = len(self._buffer)
             self._fill(self._chunk_size)
             self._compact()
             if len(self._buffer) - self._position == 0 and self._eof:
@@ -295,7 +348,6 @@ class Scanner:
         while True:
             index = self._buffer.find(delimiter, self._position)
             if index != -1:
-                self._count_newlines(self._buffer[self._position : index] + delimiter)
                 self._position = index + len(delimiter)
                 self._compact()
                 return
@@ -304,11 +356,7 @@ class Scanner:
                 raise self.error(f"unexpected end of input looking for {delimiter!r}{where}")
             # Keep a delimiter-sized tail in case it straddles a chunk edge.
             keep = len(delimiter) - 1
-            cut = max(self._position, len(self._buffer) - keep)
-            text = self._buffer[self._position : cut]
-            if text:
-                self._count_newlines(text)
-                self._position = cut
+            self._position = max(self._position, len(self._buffer) - keep)
             # Absolute-offset progress check (see read_until).
             before = self._consumed + len(self._buffer)
             self._fill(len(self._buffer) - self._position + self._chunk_size)
@@ -323,71 +371,22 @@ class Scanner:
         input."""
         skipped = False
         while True:
-            best = -1
-            for delimiter in delimiters:
-                index = self._buffer.find(delimiter, self._position)
-                if index != -1 and (best == -1 or index < best):
-                    best = index
+            best = self._nearest(delimiters)
             if best != -1:
                 if best > self._position:
-                    self._count_newlines(self._buffer[self._position : best])
                     self._position = best
                     skipped = True
                 self._compact()
                 return skipped
             if len(self._buffer) > self._position:
-                self._count_newlines(self._buffer[self._position :])
                 self._position = len(self._buffer)
                 skipped = True
             if self._eof:
                 return skipped
-            before = len(self._buffer)
             self._fill(self._chunk_size)
             self._compact()
             if len(self._buffer) - self._position == 0 and self._eof:
                 return skipped
-
-    def skip_text_open(self) -> tuple[bool, bool, str]:
-        """Bulk helper for the fused pruner's skip loop: consume one
-        character-data stretch up to the next ``<`` or ``&``.  Returns
-        ``(saw_text, opened, char)`` — *opened* means a ``<`` was
-        consumed and *char* is the (unconsumed) character after it;
-        otherwise *char* is ``'&'`` (stopped at an entity reference, not
-        consumed) or ``''`` (end of input)."""
-        skipped = False
-        while True:
-            buffer = self._buffer
-            position = self._position
-            lt = buffer.find("<", position)
-            amp = buffer.find("&", position)
-            if amp != -1 and (lt == -1 or amp < lt):
-                if amp > position:
-                    self._count_newlines(buffer[position:amp])
-                    self._position = amp
-                    skipped = True
-                    self._compact()
-                return skipped, False, "&"
-            if lt != -1:
-                if lt > position:
-                    self._count_newlines(buffer[position:lt])
-                    skipped = True
-                self._position = lt + 1
-                self._fill(1)
-                self._compact()
-                buffer = self._buffer
-                if self._position < len(buffer):
-                    return skipped, True, buffer[self._position]
-                return skipped, True, ""
-            if len(buffer) > position:
-                self._count_newlines(buffer[position:])
-                self._position = len(buffer)
-                skipped = True
-            if self._eof:
-                return skipped, False, ""
-            self._fill(self._chunk_size)
-            self._compact()
-            if len(self._buffer) - self._position == 0 and self._eof:
-                return skipped, False, ""
 
     def read_tag_content(self, context: str = "tag") -> str:
         """Consume up to and including the next *unquoted* ``>``,
@@ -405,7 +404,6 @@ class Scanner:
                 index = buffer.find(quote, position)
                 if index != -1:
                     text = buffer[position : index + 1]
-                    self._count_newlines(text)
                     self._position = index + 1
                     pieces.append(text)
                     if guard is not None:
@@ -425,7 +423,6 @@ class Scanner:
                 nearest_quote = dq if sq == -1 else sq if dq == -1 else min(dq, sq)
                 if nearest_quote != -1:
                     text = buffer[position : nearest_quote + 1]
-                    self._count_newlines(text)
                     self._position = nearest_quote + 1
                     pieces.append(text)
                     if guard is not None:
@@ -437,14 +434,12 @@ class Scanner:
                     text = buffer[position:gt]
                     if guard is not None:
                         guard.check_token(total + len(text))
-                    self._count_newlines(text)
                     self._position = gt + 1
                     self._compact()
                     pieces.append(text)
                     return "".join(pieces)
             text = buffer[position:]
             if text:
-                self._count_newlines(text)
                 pieces.append(text)
                 self._position = len(buffer)
                 if guard is not None:
@@ -461,15 +456,6 @@ class Scanner:
                 where = f" in {context}" if context else ""
                 raise self.error(f"unexpected end of input looking for '>'{where}")
 
-    def read_while(self, predicate) -> str:
-        """Consume the longest prefix whose characters satisfy ``predicate``."""
-        pieces: list[str] = []
-        while True:
-            char = self.peek()
-            if not char or not predicate(char):
-                return "".join(pieces)
-            pieces.append(self.advance())
-
     # -- XML token helpers ---------------------------------------------------
 
     def skip_whitespace(self) -> None:
@@ -482,7 +468,6 @@ class Scanner:
             while position < end and buffer[position] in " \t\r\n":
                 position += 1
             if position > start:
-                self._count_newlines(buffer[start:position])
                 self._position = position
                 self._compact()
             if position < end or self._eof:
@@ -515,6 +500,6 @@ class Scanner:
         if self._guard is not None:
             self._guard.check_token(end - position)
         name = buffer[position:end]
-        self._position = end  # names contain no newlines
+        self._position = end
         self._compact()
         return name

@@ -362,14 +362,37 @@ def _run_ledger_axis(seeds, tmp_path):
     one shared attestation ledger, dedup hits return *identical* bytes,
     records and stats to the fresh run, and a full replay re-attests
     every entry (Thm 4.5 byte-identity, promoted to a runtime contract).
-    Returns what the corruption test needs to poke at the recorded state.
+
+    Seeds can generate the same (grammar, document, workload) as an
+    earlier seed — several produce the trivial ``<n0/>`` under ``{n0}``.
+    Such a recording run is a dedup hit on the earlier entry and appends
+    nothing, so the expected entries are counted by distinct key, and a
+    recording run that appends nothing must have been served as a hit
+    with identical bytes and stats.  Returns what the corruption test
+    needs to poke at the recorded state.
     """
     from repro.ledger import Ledger, replay_ledger
 
     led_path = str(tmp_path / "ledger.jsonl")
     grammars = []
-    expected_entries = 0
+    keys: set = set()
     with Ledger(led_path) as ledger:
+
+        def record(run, what):
+            """Run a recording call; returns whether it appended an entry
+            (a new key) or was served from an earlier one (a hit)."""
+            appended, hits = ledger.appended, ledger.hits
+            result = run()
+            if ledger.appended == appended + 1:
+                key = ledger.entries[-1].key
+                assert key not in keys, f"{what}: appended a duplicate key"
+                keys.add(key)
+                return result, True
+            assert ledger.appended == appended
+            if ledger.hits == hits + 1:
+                return result, False
+            return result, None  # neither: not recordable (short-circuited)
+
         for seed in seeds:
             grammar, document, _, projector = _case(seed)
             grammars.append(grammar)
@@ -378,8 +401,19 @@ def _run_ledger_axis(seeds, tmp_path):
                 handle.write(serialize(document))
 
             fresh = prune(doc_path, grammar, projector)
-            recorded = prune(doc_path, grammar, projector, ledger=ledger)
-            expected_entries += 1
+            recorded, appended = record(
+                lambda: prune(doc_path, grammar, projector, ledger=ledger),
+                f"seed {seed} prune",
+            )
+            assert appended is not None, (
+                f"seed {seed}: recording prune neither appended nor hit"
+            )
+            assert recorded.text == fresh.text, (
+                f"seed {seed}: recording prune returned different bytes"
+            )
+            assert recorded.stats == fresh.stats, (
+                f"seed {seed}: recording prune returned different stats"
+            )
             hits_before = ledger.hits
             served = prune(doc_path, grammar, projector, ledger=ledger)
             assert ledger.hits == hits_before + 1, (
@@ -394,14 +428,24 @@ def _run_ledger_axis(seeds, tmp_path):
 
             spec = random_extract_spec(grammar, seed * 17 + 3)
             efresh = extract(doc_path, grammar, spec)
-            appended_before = ledger.appended
-            erecorded = extract(doc_path, grammar, spec, ledger=ledger)
-            if ledger.appended == appended_before:
+            erecorded, appended = record(
+                lambda: extract(doc_path, grammar, spec, ledger=ledger),
+                f"seed {seed} extract",
+            )
+            if appended is None:
                 # Statically short-circuited: nothing scanned, nothing to
                 # attest — the result must still match the fresh run.
                 assert erecorded.text == efresh.text
                 continue
-            expected_entries += 1
+            assert erecorded.text == efresh.text, (
+                f"seed {seed}: recording extract returned different bytes"
+            )
+            assert erecorded.records == efresh.records, (
+                f"seed {seed}: recording extract returned different records"
+            )
+            assert erecorded.stats == efresh.stats, (
+                f"seed {seed}: recording extract returned different stats"
+            )
             hits_before = ledger.hits
             eserved = extract(doc_path, grammar, spec, ledger=ledger)
             assert ledger.hits == hits_before + 1, (
@@ -417,9 +461,9 @@ def _run_ledger_axis(seeds, tmp_path):
                 f"seed {seed}: extract dedup hit returned different stats"
             )
 
-        assert len(ledger) == ledger.appended == expected_entries
+        assert len(ledger) == ledger.appended == len(keys)
         report = replay_ledger(ledger, grammars=grammars, jobs=2)
-    assert report.total == expected_entries
+    assert report.total == len(keys)
     assert report.ok and report.attested == report.total, (
         f"replay did not attest 100%: {report.as_dict()}"
     )

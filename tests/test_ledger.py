@@ -412,6 +412,42 @@ class TestConcurrencyAndCrashes:
                 range(1, len(ledger) + 1)
             )
 
+    def test_threads_storing_one_result_all_succeed(self, tmp_path):
+        """8 threads recording the same run at once (the service records
+        from worker threads): every call succeeds and one verified blob
+        results, with no temp file left behind.  A short switch interval
+        makes the threads interleave inside ``ResultStore.put``."""
+        text = "<out>" + "shared " * 20_000 + "</out>"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(10):
+                path = str(tmp_path / f"ledger-{round_}.jsonl")
+                errors: list[BaseException] = []
+                with Ledger(path, fsync=False) as ledger:
+                    start = threading.Barrier(8)
+
+                    def store() -> None:
+                        try:
+                            start.wait(timeout=30)
+                            _record(ledger, 1, text=text)
+                        except BaseException as exc:  # pragma: no cover - fail loudly
+                            errors.append(exc)
+
+                    threads = [threading.Thread(target=store) for _ in range(8)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                        assert not thread.is_alive(), "storing thread wedged"
+                    assert not errors, errors
+                    assert len(ledger) == 1
+                    entry = ledger.entries[0]
+                    assert ledger.fetch(entry.key) is not None  # re-verified
+                assert os.listdir(path + ".store") == [entry.output_hash + ".json"]
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_writer_killed_mid_append_costs_one_partial_line(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
         with Ledger(path, fsync=True) as ledger:

@@ -131,6 +131,32 @@ class TestSerial:
             *(set(s.distinct_tags_out) for s in singles)
         )
 
+    def test_unpickled_stats_share_tag_names(self):
+        """Worker stats reach the parent pickled; unpickling interns the
+        tag names, so per-document stats do not each keep a copy."""
+        import pickle
+
+        from repro.projection.stats import PruneStats
+
+        def stats_naming(*parts: str) -> PruneStats:
+            stats = PruneStats(elements_in=2, elements_out=1, bytes_out=9)
+            stats.distinct_tags_in.update(("".join(parts), "bib"))
+            stats.distinct_tags_out.add("".join(parts))
+            return stats
+
+        first, second = stats_naming("ti", "tle"), stats_naming("tit", "le")
+        assert next(iter(first.distinct_tags_out)) is not next(iter(second.distinct_tags_out))
+        first_back, second_back = (pickle.loads(pickle.dumps(s)) for s in (first, second))
+        assert (first_back, second_back) == (first, second)
+        for back in (first_back, second_back):
+            assert back.distinct_tags_in == {"title", "bib"}
+        (name_a,) = first_back.distinct_tags_out
+        (name_b,) = second_back.distinct_tags_out
+        assert name_a is name_b
+        assert {id(name) for name in first_back.distinct_tags_in} == {
+            id(name) for name in second_back.distinct_tags_in
+        }
+
     def test_empty_sources(self, book_grammar):
         batch = prune_many([], book_grammar, QUERY)
         assert batch.ok
