@@ -39,24 +39,32 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (ledger uses obs)
 
 from repro import obs
 from repro.dtd.grammar import Grammar
-from repro.errors import ReproError, StrayDocumentError, ValidationError
+from repro.errors import ReproError, ValidationError
 from repro.limits import Limits, resolve_limits
+from repro.projection.fastpath import FastPruner
 from repro.projection.stats import PruneStats
-from repro.projection.streaming import (
-    _open_output,
-    _prune_events,
-    _prune_file,
-    _prune_stream,
-    _prune_string,
+from repro.projection.streaming import StreamingPruner, _prune_events
+from repro.run import (
+    EVENTS,
+    MARKUP,
+    PATH,
+    STREAM,
+    WireOptions,
+    deliver,
+    execute,
+    resolve_options,
+    source_kind,
+    stray_refusal,
 )
 from repro.xmltree.events import Event
 from repro.xmltree.lexer import DEFAULT_CHUNK_SIZE
+from repro.xmltree.serializer import write_events
 
 __all__ = ["PruneOptions", "PruneResult", "prune"]
 
 
 @dataclass(slots=True, frozen=True)
-class PruneOptions:
+class PruneOptions(WireOptions):
     """Behavioural knobs shared by every :func:`prune` form.
 
     * ``fast`` — use the fused scanner-level pipeline (bulk tag scanning,
@@ -76,7 +84,12 @@ class PruneOptions:
       default); ``False`` surfaces the refusal instead, and ``"force"``
       skips the fast attempt entirely (a test knob: it proves the
       degraded path byte-identical to the fast one).
+
+    ``to_wire``/``from_wire`` give the JSON form the service protocol
+    ships (see :class:`repro.run.WireOptions`).
     """
+
+    _op = "prune"
 
     fast: bool = True
     validate: bool = False
@@ -84,37 +97,6 @@ class PruneOptions:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     limits: "Limits | str | None" = None
     fallback: "bool | str" = True
-
-    # -- wire form (the service protocol ships options as JSON) -----------
-
-    def to_wire(self) -> dict[str, Any]:
-        """JSON-safe form: only the fields that differ from the defaults
-        (``limits`` serializes as a profile name or a bounds dict)."""
-        wire: dict[str, Any] = {}
-        for name in ("fast", "validate", "prune_attributes", "chunk_size", "fallback"):
-            value = getattr(self, name)
-            if value != getattr(DEFAULT_OPTIONS, name):
-                wire[name] = value
-        if self.limits is not None:
-            wire["limits"] = (
-                self.limits if isinstance(self.limits, str) else self.limits.as_dict()
-            )
-        return wire
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "PruneOptions":
-        """Rebuild from :meth:`to_wire` output (unknown keys rejected so a
-        client/server version skew fails loudly, not silently)."""
-        fields = dict(wire)
-        limits = fields.pop("limits", None)
-        if isinstance(limits, dict):
-            limits = Limits.from_dict(limits)
-        unknown = set(fields) - {
-            "fast", "validate", "prune_attributes", "chunk_size", "fallback"
-        }
-        if unknown:
-            raise ValueError(f"unknown prune option(s): {sorted(unknown)}")
-        return cls(limits=limits, **fields)
 
 
 DEFAULT_OPTIONS = PruneOptions()
@@ -146,35 +128,83 @@ class PruneResult:
         return self.events
 
 
-def _resolve_options(
-    options: PruneOptions | None,
-    fast: bool | None,
-    validate: bool | None,
-    prune_attributes: bool | None,
-    chunk_size: int | None,
-    *,
-    limits: "Limits | str | None" = None,
-    fallback: "bool | str | None" = None,
-) -> PruneOptions:
-    resolved = options if options is not None else DEFAULT_OPTIONS
-    overrides: dict[str, Any] = {}
-    if fast is not None:
-        overrides["fast"] = fast
-    if validate is not None:
-        overrides["validate"] = validate
-    if prune_attributes is not None:
-        overrides["prune_attributes"] = prune_attributes
-    if chunk_size is not None:
-        overrides["chunk_size"] = chunk_size
-    if limits is not None:
-        overrides["limits"] = limits
-    if fallback is not None:
-        overrides["fallback"] = fallback
-    return replace(resolved, **overrides) if overrides else resolved
+class MarkupWriter:
+    """The run path's markup consumer (:mod:`repro.run`): the pruned
+    document as markup, written by ``FastPruner.write`` in the fused pass
+    or by ``write_events`` over the event pipeline."""
 
+    op = "prune"
+    stats_type = PruneStats
+    records = False
 
-def _is_markup(text: str) -> bool:
-    return text.lstrip()[:1] == "<"
+    def __init__(
+        self,
+        grammar: Grammar,
+        projector: frozenset[str] | set[str],
+        options: PruneOptions,
+        analysis: Any = None,
+    ) -> None:
+        self.grammar = grammar
+        self.projector = frozenset(projector)
+        self.options = options
+        self.limits = resolve_limits(options.limits)
+        self.analysis = analysis
+        # Validation forces the event pipeline (the validator must see
+        # every event) and is never dedup-served (it must see the
+        # document).
+        self.fused = options.fast and not options.validate
+        self.servable = not options.validate
+        self.span_attrs = {"validate": options.validate}
+
+    def provably_empty(self) -> bool:
+        """The static short-circuit applies: the pre-pass proved the
+        workload empty, and no contract needs the real pass."""
+        return (
+            self.analysis is not None
+            and self.analysis.provably_empty
+            and not self.options.validate
+            and self.options.prune_attributes
+        )
+
+    def empty(self, stats: PruneStats) -> str:
+        """The pruned markup of every grammar-valid source for a
+        provably-empty workload: the bare root element.  The scan
+        counters stay zero — nothing was scanned."""
+        tag = self.grammar.tag_of(self.grammar.root) or self.grammar.root
+        stats.elements_out = 1
+        stats.distinct_tags_out.add(tag)
+        return f"<{tag}/>"
+
+    def fast_pass(self, source, sink, stats, guard, collect) -> None:
+        FastPruner(
+            self.grammar, self.projector, self.options.prune_attributes,
+            stats=stats, guard=guard,
+        ).write(source, sink, chunk_size=self.options.chunk_size)
+
+    def event_pass(self, events, sink, stats, guard, collect) -> None:
+        pruned = StreamingPruner(
+            self.grammar, self.projector,
+            validate=self.options.validate,
+            prune_attributes=self.options.prune_attributes,
+            stats=stats, guard=guard,
+        ).process(events)
+        write_events(pruned, sink, declaration=False)
+
+    def workload_fingerprint(self) -> str:
+        from repro.core.cache import projector_fingerprint
+
+        return projector_fingerprint(self.projector, self.options.prune_attributes)
+
+    def provenance(self, extra: dict[str, Any]) -> dict[str, Any]:
+        # The run's own projector always wins over caller context.
+        return {
+            **extra,
+            "projector": sorted(self.projector),
+            "prune_attributes": self.options.prune_attributes,
+        }
+
+    def result(self, stats, text, output_path, records) -> PruneResult:
+        return PruneResult(stats=stats, text=text, output_path=output_path)
 
 
 def prune(
@@ -238,41 +268,26 @@ def prune(
         analysis = projector
         projector = analysis.projector
 
-    opts = _resolve_options(
-        options, fast, validate, prune_attributes, chunk_size,
-        limits=limits, fallback=fallback,
+    opts = resolve_options(
+        options, DEFAULT_OPTIONS,
+        fast=fast, validate=validate, prune_attributes=prune_attributes,
+        chunk_size=chunk_size, limits=limits, fallback=fallback,
     )
-    if getattr(grammar, "on_stray", None) is not None:
-        return _prune_inferred(
-            source, grammar, projector,
-            analysis=analysis, out=out, opts=opts,
-            ledger=ledger, provenance=provenance,
-        )
-    return _prune_core(
-        source, grammar, projector,
-        analysis=analysis, out=out, opts=opts,
-        ledger=ledger, provenance=provenance,
-    )
+    policy = getattr(grammar, "on_stray", None)
+    if policy is not None:
+        # Against an inferred grammar validation *is* the stray check
+        # (see _prune_inferred), so it is always on.
+        opts = replace(opts, validate=True)
+    writer = MarkupWriter(grammar, projector, opts, analysis)
+    kind = source_kind(source)
 
-
-def _prune_core(
-    source: "str | os.PathLike[str] | IO[str] | Iterable[Event]",
-    grammar: Grammar,
-    projector: frozenset[str] | set[str],
-    *,
-    analysis: Any,
-    out: "str | os.PathLike[str] | IO[str] | None",
-    opts: PruneOptions,
-    ledger: "Ledger | None",
-    provenance: dict[str, Any] | None,
-) -> PruneResult:
-    """The dispatch-and-run body shared by the plain facade and the
-    inferred-grammar escape hatch (which forces validation and maps
-    validation failures to its policy before/after calling this)."""
-    resolved_limits = resolve_limits(opts.limits)
-
-    # Event-stream source: transform iterator to iterator.
-    if not isinstance(source, (str, os.PathLike)) and not hasattr(source, "read"):
+    if kind == EVENTS:
+        # Event-stream source: transform iterator to iterator.
+        if policy == "copy":
+            raise ReproError(
+                'on_stray="copy" cannot replay an event stream; '
+                "prune the markup/path/stream form instead"
+            )
         if not hasattr(source, "__iter__"):
             raise TypeError(f"cannot prune source of type {type(source).__name__}")
         if out is not None:
@@ -283,118 +298,29 @@ def _prune_core(
         # (``fast`` is moot here: event input already paid for parsing.)
         stats = PruneStats()
         events = _prune_events(
-            source, grammar, projector,
+            source, grammar, writer.projector,
             validate=opts.validate, stats=stats,
             prune_attributes=opts.prune_attributes,
-            guard=resolved_limits.guard(),
+            guard=writer.limits.guard(),
         )
+        if policy is not None:
+            events = _stray_guard(events)
         return PruneResult(stats=stats, events=events)
 
-    is_path = isinstance(source, os.PathLike) or (
-        isinstance(source, str) and not _is_markup(source)
-    )
-    out_is_path = out is not None and not hasattr(out, "write")
-
-    if (
-        analysis is not None
-        and analysis.provably_empty
-        and not opts.validate
-        and opts.prune_attributes
-    ):
-        return _short_circuit_empty(source, grammar, out, is_path, out_is_path)
-
-    led = None
-    if ledger is not None:
-        led = _ledger_begin(
-            ledger, source, grammar, opts, resolved_limits, provenance,
-            is_path, projector,
-        )
-        if led is not None and not opts.validate:
-            served = _serve_prune_hit(ledger, led[0], out, out_is_path)
-            if served is not None:
-                return served
-
-    # File -> file keeps the remove-partial-output-on-error contract.
-    if is_path and out_is_path:
-        stats = _prune_file(
-            os.fspath(source), os.fspath(out), grammar, projector,  # type: ignore[arg-type]
-            validate=opts.validate, fast=opts.fast,
-            prune_attributes=opts.prune_attributes, chunk_size=opts.chunk_size,
-            limits=resolved_limits, fallback=opts.fallback,
-        )
-        if led is not None:
-            _ledger_record(ledger, led, "prune", stats,
-                           output_path=os.fspath(out))  # type: ignore[arg-type]
-        return PruneResult(stats=stats, output_path=os.fspath(out))  # type: ignore[arg-type]
-
-    # Everything else goes through the stream core, with the source
-    # opened/measured and the sink collected as needed.
-    stats = PruneStats()
-    if isinstance(source, str) and not is_path:
-        # "replace": hostile markup may contain lone surrogates, which
-        # must surface as the pipeline's structured error (if at all),
-        # not as a crash in this bookkeeping line.
-        stats.bytes_in = len(source.encode("utf-8", "replace"))
-
-    def run(stream_source: "str | IO[str]", sink: IO[str]) -> None:
-        _prune_stream(
-            stream_source, sink, grammar, projector,
-            validate=opts.validate, fast=opts.fast, chunk_size=opts.chunk_size,
-            prune_attributes=opts.prune_attributes, stats=stats,
-            limits=resolved_limits, fallback=opts.fallback,
-        )
-
-    def with_source(sink: IO[str]) -> None:
-        if is_path:
-            path = os.fspath(source)  # type: ignore[arg-type]
-            stats.bytes_in = os.path.getsize(path)
-            with open(path, "r", encoding="utf-8") as handle:
-                run(handle, sink)
-        else:
-            run(source, sink)  # type: ignore[arg-type]
-
-    if out is None:
-        collector = io.StringIO()
-        with_source(collector)
-        text = collector.getvalue()
-        if led is not None:
-            _ledger_record(ledger, led, "prune", stats, text=text)
-        return PruneResult(stats=stats, text=text)
-    if out_is_path:
-        # _open_output keeps the remove-partial-output contract and, when
-        # the path cannot even be opened (unwritable), leaves any
-        # pre-existing file there untouched.
-        out_path = os.fspath(out)  # type: ignore[arg-type]
-        with _open_output(out_path) as sink:
-            with_source(sink)
-        if led is not None:
-            _ledger_record(ledger, led, "prune", stats, output_path=out_path)
-        return PruneResult(stats=stats, output_path=out_path)
-    if led is not None:
-        # Hash the stream output as it passes; the bytes themselves go to
-        # the caller's sink, so the entry attests but cannot dedup-serve.
-        from repro.ledger.canonical import HashingSink
-
-        tee = HashingSink(tee=out)
-        with_source(tee)  # type: ignore[arg-type]
-        _ledger_record(ledger, led, "prune", stats,
-                       output_hash=tee.hexdigest())
-        return PruneResult(stats=stats)
-    with_source(out)  # type: ignore[arg-type]
-    return PruneResult(stats=stats)
+    if policy is None:
+        return execute(writer, source, kind, out, ledger, provenance)
+    return _prune_inferred(writer, policy, source, kind, out, ledger, provenance)
 
 
 # -- the inferred-grammar escape hatch ---------------------------------------
 
 
 def _prune_inferred(
-    source: "str | os.PathLike[str] | IO[str] | Iterable[Event]",
-    grammar: Grammar,
-    projector: frozenset[str] | set[str],
-    *,
-    analysis: Any,
+    writer: MarkupWriter,
+    policy: str,
+    source: "str | os.PathLike[str] | IO[str]",
+    kind: str,
     out: "str | os.PathLike[str] | IO[str] | None",
-    opts: PruneOptions,
     ledger: "Ledger | None",
     provenance: dict[str, Any] | None,
 ) -> PruneResult:
@@ -409,286 +335,51 @@ def _prune_inferred(
     forces the event pipeline — a stray inside a bulk-skipped pruned
     region would be invisible to the fused fast path.
     """
-    opts = replace(opts, validate=True)
-    policy = grammar.on_stray  # type: ignore[attr-defined]
-
-    is_stream = hasattr(source, "read")
-    is_events = (
-        not isinstance(source, (str, os.PathLike)) and not is_stream
-    )
-    if is_events:
-        if policy == "copy":
-            raise ReproError(
-                'on_stray="copy" cannot replay an event stream; '
-                "prune the markup/path/stream form instead"
-            )
-        result = _prune_core(
-            source, grammar, projector,
-            analysis=analysis, out=out, opts=opts,
-            ledger=ledger, provenance=provenance,
-        )
-        assert result.events is not None
-        result.events = _stray_guard(result.events)
-        return result
-
-    if policy == "copy":
-        if is_stream:
-            # Buffer so the copy fallback can replay the source.
-            source = source.read()  # type: ignore[union-attr]
-        out_is_stream = out is not None and hasattr(out, "write")
-        # A caller-owned sink cannot be un-written, so buffer the prune
-        # and only forward it once the document fully validated.
-        sink = io.StringIO() if out_is_stream else out
-        try:
-            result = _prune_core(
-                source, grammar, projector,
-                analysis=analysis, out=sink, opts=opts,
-                ledger=ledger, provenance=provenance,
-            )
-        except ValidationError:
-            obs.count("schema.strays")
-            return _copy_verbatim(source, out)
-        if out_is_stream:
-            out.write(sink.getvalue())  # type: ignore[union-attr]
-        return result
-
+    if policy != "copy":
+        with stray_refusal():
+            return execute(writer, source, kind, out, ledger, provenance)
+    if kind == STREAM:
+        # Buffer so the copy fallback can replay the source; the buffered
+        # text is still the stream's markup, never a path.
+        source, kind = source.read(), MARKUP  # type: ignore[union-attr]
+    out_is_stream = hasattr(out, "write")
+    # A caller-owned sink cannot be un-written, so buffer the prune and
+    # only forward it once the document fully validated.
+    sink = io.StringIO() if out_is_stream else out
     try:
-        return _prune_core(
-            source, grammar, projector,
-            analysis=analysis, out=out, opts=opts,
-            ledger=ledger, provenance=provenance,
-        )
-    except StrayDocumentError:
-        raise
-    except ValidationError as exc:
+        result = execute(writer, source, kind, sink, ledger, provenance)
+    except ValidationError:
         obs.count("schema.strays")
-        raise StrayDocumentError(str(exc), exc.node_id) from exc
+        return _copy_verbatim(writer, source, kind, out)
+    if out_is_stream:
+        out.write(sink.getvalue())  # type: ignore[union-attr]
+    return result
 
 
 def _stray_guard(events: Iterator[Event]) -> Iterator[Event]:
     """Re-raise lazy validation failures of an event-source prune as the
     structured stray refusal."""
-    try:
-        for event in events:
-            yield event
-    except StrayDocumentError:
-        raise
-    except ValidationError as exc:
-        obs.count("schema.strays")
-        raise StrayDocumentError(str(exc), exc.node_id) from exc
+    with stray_refusal():
+        yield from events
 
 
 def _copy_verbatim(
+    writer: MarkupWriter,
     source: "str | os.PathLike[str]",
+    kind: str,
     out: "str | os.PathLike[str] | IO[str] | None",
 ) -> PruneResult:
     """The ``on_stray="copy"`` fallback: the source, byte for byte.  A
     verbatim copy preserves every query answer, so it is always sound —
     just not pruned.  ``result.stray`` marks it."""
-    is_path = isinstance(source, os.PathLike) or not _is_markup(source)
     stats = PruneStats()
-    if is_path:
+    if kind == PATH:
         path = os.fspath(source)
-        stats.bytes_in = os.path.getsize(path)
-        stats.bytes_out = stats.bytes_in
-        if out is not None and not hasattr(out, "write"):
-            out_path = os.fspath(out)  # type: ignore[arg-type]
-            with open(path, "r", encoding="utf-8") as handle:
-                with _open_output(out_path) as sink:
-                    while True:
-                        chunk = handle.read(DEFAULT_CHUNK_SIZE)
-                        if not chunk:
-                            break
-                        sink.write(chunk)
-            return PruneResult(stats=stats, output_path=out_path, stray=True)
+        stats.bytes_in = stats.bytes_out = os.path.getsize(path)
         with open(path, "r", encoding="utf-8") as handle:
-            if out is not None:
-                while True:
-                    chunk = handle.read(DEFAULT_CHUNK_SIZE)
-                    if not chunk:
-                        break
-                    out.write(chunk)  # type: ignore[union-attr]
-                return PruneResult(stats=stats, stray=True)
-            text = handle.read()
-        return PruneResult(stats=stats, text=text, stray=True)
-    text = source  # type: ignore[assignment]
-    stats.bytes_in = len(text.encode("utf-8", "replace"))
-    stats.bytes_out = stats.bytes_in
-    if out is None:
-        return PruneResult(stats=stats, text=text, stray=True)
-    if not hasattr(out, "write"):
-        out_path = os.fspath(out)  # type: ignore[arg-type]
-        with _open_output(out_path) as sink:
-            sink.write(text)
-        return PruneResult(stats=stats, output_path=out_path, stray=True)
-    out.write(text)  # type: ignore[union-attr]
-    return PruneResult(stats=stats, stray=True)
-
-
-def _short_circuit_empty(
-    source: "str | os.PathLike[str] | IO[str]",
-    grammar: Grammar,
-    out: "str | os.PathLike[str] | IO[str] | None",
-    is_path: bool,
-    out_is_path: bool,
-) -> PruneResult:
-    """Answer a provably-empty workload without opening the document.
-
-    The pre-pass established that the (filtered) union projector is the
-    bare root, so for any grammar-valid source the pruned markup is
-    exactly ``<root/>``.  ``bytes_in`` is still measured (by size, not by
-    reading); the scan counters stay zero — nothing was scanned, which is
-    the whole point.
-    """
-    tag = grammar.tag_of(grammar.root) or grammar.root
-    text = f"<{tag}/>"
-    stats = PruneStats()
-    stats.elements_out = 1
-    stats.distinct_tags_out.add(tag)
-    stats.bytes_out = len(text.encode("utf-8"))
-    if is_path:
-        stats.bytes_in = os.path.getsize(os.fspath(source))  # type: ignore[arg-type]
-    elif isinstance(source, str):
-        stats.bytes_in = len(source.encode("utf-8", "replace"))
-    obs.count("static.short_circuits")
-    if out is None:
-        return PruneResult(stats=stats, text=text)
-    if out_is_path:
-        out_path = os.fspath(out)  # type: ignore[arg-type]
-        with _open_output(out_path) as sink:
-            sink.write(text)
-        return PruneResult(stats=stats, output_path=out_path)
-    out.write(text)  # type: ignore[union-attr]
-    return PruneResult(stats=stats)
-
-
-# -- attestation-ledger plumbing (shared with the extract facade) -----------
-
-
-def _ledger_begin(
-    ledger: "Ledger",
-    source: "str | os.PathLike[str] | IO[str]",
-    grammar: Grammar,
-    opts: PruneOptions,
-    resolved_limits: Limits,
-    provenance: dict[str, Any] | None,
-    is_path: bool,
-    projector: "frozenset[str] | set[str] | None",
-    workload_fp: str | None = None,
-) -> "tuple[tuple[str, str, str, str], dict[str, Any]] | None":
-    """Fingerprint this run for the ledger: the key tuple plus the
-    auto-built provenance.  ``None`` for sources that cannot be hashed
-    without consuming them (open streams) — those runs bypass the ledger
-    rather than recording an unverifiable entry."""
-    from repro.core.cache import grammar_fingerprint, projector_fingerprint
-    from repro.ledger.canonical import hash_file, hash_text, limits_fingerprint
-
-    if is_path:
-        input_hash = hash_file(os.fspath(source))  # type: ignore[arg-type]
-    elif isinstance(source, str):
-        input_hash = hash_text(source)
+            result = deliver(writer, stats, handle, out)
     else:
-        return None
-    if workload_fp is None:
-        assert projector is not None
-        workload_fp = projector_fingerprint(projector, opts.prune_attributes)
-    key = (
-        grammar_fingerprint(grammar),
-        workload_fp,
-        limits_fingerprint(resolved_limits),
-        input_hash,
-    )
-    prov: dict[str, Any] = {
-        "source": os.path.abspath(os.fspath(source)) if is_path else None,  # type: ignore[arg-type]
-    }
-    if projector is not None:
-        prov["projector"] = sorted(projector)
-        prov["prune_attributes"] = opts.prune_attributes
-    if provenance:
-        for name, value in provenance.items():
-            prov.setdefault(name, value)
-    return key, prov
-
-
-def _serve_prune_hit(
-    ledger: "Ledger",
-    key: "tuple[str, str, str, str]",
-    out: "str | os.PathLike[str] | IO[str] | None",
-    out_is_path: bool,
-) -> PruneResult | None:
-    """Serve a recorded, hash-verified result instead of scanning.  The
-    stats come back ``==`` to the recorded fresh run's, and the bytes are
-    the recorded bytes — by Thm 4.5 byte-identity, exactly the bytes a
-    fresh prune of the same (grammar, projector, input) would emit."""
-    hit = ledger.fetch(key)
-    if hit is None:
-        return None
-    entry, payload = hit
-    from repro.ledger.ledger import decode_stats
-
-    stats = decode_stats(entry.stats)
-    if not isinstance(stats, PruneStats):  # pragma: no cover - defensive
-        return None
-    text = payload["text"]
-    if out is None:
-        return PruneResult(stats=stats, text=text)
-    if out_is_path:
-        out_path = os.fspath(out)  # type: ignore[arg-type]
-        with _open_output(out_path) as sink:
-            sink.write(text)
-        return PruneResult(stats=stats, output_path=out_path)
-    out.write(text)  # type: ignore[union-attr]
-    return PruneResult(stats=stats)
-
-
-def _ledger_record(
-    ledger: "Ledger",
-    led: "tuple[tuple[str, str, str, str], dict[str, Any]]",
-    op: str,
-    stats: Any,
-    *,
-    text: str | None = None,
-    output_path: str | None = None,
-    output_hash: str | None = None,
-    records: "list[dict[str, Any]] | None" = None,
-    extra_provenance: dict[str, Any] | None = None,
-) -> None:
-    """Append the attestation for a completed run (and retain the output
-    bytes for dedup when they are available without a re-read cost or
-    recoverable from the written file)."""
-    from repro.ledger.canonical import hash_file, hash_records, hash_text
-    from repro.ledger.ledger import encode_stats
-
-    key, prov = led
-    if extra_provenance:
-        prov = {**prov, **extra_provenance}
-    if output_hash is None:
-        if text is not None:
-            output_hash = hash_text(text)
-        elif output_path is not None:
-            output_hash = hash_file(output_path)
-        else:  # pragma: no cover - callers always pass one of the three
-            return
-    if text is None and output_path is not None and ledger.store is not None:
-        try:
-            with open(output_path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError:  # pragma: no cover - racing deletion
-            text = None
-    result: dict[str, Any] | None = None
-    if text is not None:
-        result = {"kind": op, "text": text}
-        if records is not None:
-            result["records"] = records
-    ledger.record(
-        op=op,
-        grammar_fp=key[0],
-        workload_fp=key[1],
-        limits_fp=key[2],
-        input_hash=key[3],
-        output_hash=output_hash,
-        records_hash=hash_records(records) if records is not None else None,
-        stats=encode_stats(stats),
-        provenance=prov,
-        result=result,
-    )
+        stats.bytes_in = stats.bytes_out = len(source.encode("utf-8", "replace"))  # type: ignore[union-attr]
+        result = deliver(writer, stats, source, out)  # type: ignore[arg-type]
+    result.stray = True
+    return result

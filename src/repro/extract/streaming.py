@@ -19,36 +19,20 @@ Two stages, matching the spec's split:
   element matching its row-relative path, then captures its attribute,
   its direct text, or its whole-subtree text, and goes dormant.
 
-The same graceful-degradation contract as markup pruning applies: the
-fused scan falls back to the event pipeline (``parse_events`` →
-:class:`~repro.projection.streaming.StreamingPruner`) on oversized
-tokens, rewinding source, sink and stats first; ``fallback="force"``
-skips the fast attempt outright so the differential tests can prove both
-paths record-identical.
+The pass itself — the fused scan, its fallback to the event pipeline
+(``parse_events`` → :class:`~repro.projection.streaming.StreamingPruner`)
+on oversized tokens, sources, sinks and the ledger — is the run path
+shared with markup pruning (:mod:`repro.run`); the record assembler
+(:class:`repro.extract.api.RecordAssembler`) is its consumer here.
 """
 
 from __future__ import annotations
 
-from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
-from repro.dtd.grammar import Grammar
-from repro.errors import EncodingError, FastPathUnsupported, LimitExceeded
-from repro.extract.records import record_writer
 from repro.extract.spec import ExtractSpec, FieldPath
 from repro.extract.stats import ExtractStats
-from repro.obs import get_tracer
-from repro.projection.fastpath import FastPruner
-from repro.projection.streaming import (
-    StreamingPruner,
-    _GovernedSink,
-    _stream_position,
-)
 from repro.xmltree.events import Characters, EndElement, Event, StartElement
-from repro.xmltree.lexer import DEFAULT_CHUNK_SIZE, Source
-from repro.xmltree.parser import parse_events
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.limits import LimitGuard, Limits
 
 __all__ = ["iter_records"]
 
@@ -171,134 +155,3 @@ def _records_pass(
         stats.fields_out += width - nulls
         if collect is not None:
             collect.append(row)
-
-
-def _events_extract_pass(
-    source: Source,
-    sink: "IO[str] | _GovernedSink",
-    grammar: Grammar,
-    projector: frozenset[str],
-    spec: ExtractSpec,
-    format: str,
-    chunk_size: int,
-    stats: ExtractStats,
-    guard: "LimitGuard | None",
-    collect: "list[dict[str, Any]] | None",
-) -> None:
-    """The event pipeline: parse → prune → assemble → encode."""
-    events = StreamingPruner(grammar, projector).process(
-        parse_events(source, chunk_size, guard=guard)
-    )
-    _records_pass(events, spec, record_writer(format, spec, sink), stats, collect)
-
-
-def _fused_extract_pass(
-    source: Source,
-    sink: IO[str],
-    grammar: Grammar,
-    projector: frozenset[str],
-    spec: ExtractSpec,
-    format: str,
-    chunk_size: int,
-    stats: ExtractStats,
-    guard: "LimitGuard | None",
-    fallback: "bool | str",
-    tracer,
-    collect: "list[dict[str, Any]] | None",
-) -> None:
-    """The fused fast path, degrading to the event pipeline exactly as
-    :func:`repro.projection.streaming._fused_pass` does for markup: the
-    only fallback triggers are the bulk tag scan's token limit and an
-    explicit :class:`~repro.errors.FastPathUnsupported`; falling back
-    rewinds source, sink, stats and the collected records to where this
-    call found them (a non-rewindable stream re-raises)."""
-    governed = _GovernedSink(sink, guard)
-    if fallback != "force":
-        snap = stats.snapshot()
-        collected = len(collect) if collect is not None else 0
-        source_pos = None if isinstance(source, str) else _stream_position(source)
-        sink_pos = _stream_position(sink)
-        pruner = FastPruner(grammar, projector, True, guard=guard)
-        try:
-            _records_pass(
-                pruner.events(source, chunk_size), spec,
-                record_writer(format, spec, governed), stats, collect,
-            )
-            stats.bytes_out = governed.written
-            return
-        except (FastPathUnsupported, LimitExceeded) as exc:
-            if isinstance(exc, LimitExceeded) and (
-                not fallback or exc.limit != "token_bytes"
-            ):
-                raise
-            if not isinstance(source, str):
-                if source_pos is None:
-                    raise  # can't re-read a non-seekable stream
-                source.seek(source_pos)
-            if governed.written:
-                if sink_pos is None:
-                    raise  # flushed output we cannot take back
-                sink.seek(sink_pos)
-                sink.truncate()
-                governed.written = 0
-            stats.restore(snap)
-            if collect is not None:
-                del collect[collected:]
-            if guard is not None:
-                guard.rewind()
-    if tracer.enabled:
-        tracer.count("fastpath.fallbacks")
-    _events_extract_pass(
-        source, governed, grammar, projector, spec,
-        format, chunk_size, stats, guard, collect,
-    )
-    stats.bytes_out = governed.written
-
-
-def _extract_stream(
-    source: Source,
-    sink: IO[str],
-    grammar: Grammar,
-    projector: frozenset[str] | set[str],
-    spec: ExtractSpec,
-    *,
-    format: str = "jsonl",
-    fast: bool = True,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    stats: ExtractStats | None = None,
-    limits: "Limits | None" = None,
-    fallback: "bool | str" = True,
-    collect: "list[dict[str, Any]] | None" = None,
-) -> ExtractStats:
-    """Parse → prune → assemble → encode with constant memory.
-
-    ``source`` is XML text or a text-mode file object; ``sink`` receives
-    encoded JSONL/CSV lines.  ``collect`` (a list) additionally receives
-    the NULL-substituted record dicts.  Mirrors
-    :func:`repro.projection.streaming._prune_stream` for limits,
-    fallback, and encoding-error mapping.
-    """
-    if stats is None:
-        stats = ExtractStats()
-    guard = limits.guard() if limits is not None else None
-    tracer = get_tracer()
-    with tracer.span(
-        "extract", mode="fast" if fast else "events", format=format
-    ) as span:
-        try:
-            if fast:
-                _fused_extract_pass(
-                    source, sink, grammar, frozenset(projector), spec,
-                    format, chunk_size, stats, guard, fallback, tracer, collect,
-                )
-            else:
-                governed = _GovernedSink(sink, guard)
-                _events_extract_pass(
-                    source, governed, grammar, frozenset(projector), spec,
-                    format, chunk_size, stats, guard, collect,
-                )
-                stats.bytes_out = governed.written
-        except UnicodeError as exc:
-            raise EncodingError(str(exc)) from exc
-        span.merge_counters(stats.as_counters())
-    return stats

@@ -9,11 +9,12 @@ a corpus across a process pool:
 * the projector is resolved **once in the parent** through the
   :class:`~repro.core.cache.ProjectorCache` (queries are accepted directly,
   or a pre-inferred projector is passed through);
-* each worker receives the configured :class:`~repro.projection.fastpath.
-  FastPruner` (pickled as ``(grammar, projector, options)``; the compiled
-  prune table is rebuilt — and memoised — once per worker) together with
-  the parent's grammar fingerprint, which the worker re-derives and checks
-  so a grammar that does not survive transfer intact fails loudly;
+* the pool is the one :class:`~repro.pool.ResidentPool` the projection
+  service also runs on: the parent pins the compiled
+  :class:`~repro.projection.fastpath.FastPruner` before the workers
+  spawn, so they inherit it by fork, and each worker re-derives the
+  grammar fingerprint so a grammar that does not survive the process
+  boundary intact is re-run in the parent instead of pruned wrong;
 * every document runs through the fused fast path (or whatever
   :class:`~repro.api.PruneOptions` selects), with results returned in
   **input order** regardless of completion order;
@@ -23,9 +24,12 @@ a corpus across a process pool:
   (each reported as a ``worker-crash`` error) instead of hanging the pool;
 * workers trace into a process-local :class:`~repro.obs.MemorySink` and
   ship their span records and counters back with each result; the parent
-  absorbs them into its tracer (:func:`repro.obs.absorb`), so a single
+  absorbs them into its tracer (:func:`repro.pool.absorb`), so a single
   ``--trace-out`` file still tells the whole story, with a ``worker``
   attribute marking which process ran each document.
+
+What batch mode adds to the shared pool is its round logic: a per-item
+``timeout`` that kills stuck workers, crash blame, and ``retry_crashes``.
 
 ``jobs=1`` bypasses the pool entirely and runs the items serially in the
 parent — byte-identical, by construction, to calling :func:`repro.prune`
@@ -43,31 +47,31 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro import obs
-from repro.api import PruneOptions, PruneResult, _resolve_options, prune
-from repro.core.cache import (
-    ProjectorCache,
-    grammar_fingerprint,
-    resolve_projector,
-    resolve_spec_projector,
-)
+from repro.api import DEFAULT_OPTIONS, PruneOptions, PruneResult
+from repro.core.cache import ProjectorCache, resolve_projector, resolve_spec_projector
 from repro.dtd.grammar import Grammar
-from repro.extract.api import (
-    ExtractOptions,
-    ExtractResult,
-    _resolve_extract_options,
-    extract,
-)
+from repro.extract.api import DEFAULT_EXTRACT_OPTIONS, ExtractOptions, ExtractResult
 from repro.extract.spec import ExtractSpec
 from repro.extract.stats import ExtractStats
 from repro.limits import Limits, resolve_limits
+from repro.pool import (
+    FINGERPRINT_MISMATCH,
+    WORKER_CRASH,
+    ResidentPool,
+    _resolve_jobs,
+    absorb,
+    rerun_in_parent,
+    run_here,
+)
 from repro.projection.fastpath import FastPruner
 from repro.projection.stats import PruneStats
+from repro.run import is_markup, resolve_options
 
 __all__ = [
     "BatchError",
@@ -79,16 +83,8 @@ __all__ = [
 
 _GLOB_CHARS = frozenset("*?[")
 
-#: Crash kind reported for items whose worker died before finishing them.
-WORKER_CRASH = "worker-crash"
-
 #: Error kind for items killed by the per-item pool ``timeout``.
 TIMEOUT = "timeout"
-
-#: Error kind a worker reports when the grammar fingerprint does not
-#: survive the process boundary; the parent re-runs such items itself
-#: (see :func:`_prune_in_parent`) instead of failing the batch.
-FINGERPRINT_MISMATCH = "fingerprint-mismatch"
 
 #: How often the pool loop wakes to look for stuck workers when a
 #: ``timeout`` is set (completions interrupt the wait immediately).
@@ -175,10 +171,6 @@ class BatchResult:
 # -- source expansion ---------------------------------------------------------
 
 
-def _is_markup(text: str) -> bool:
-    return text.lstrip()[:1] == "<"
-
-
 def expand_sources(
     sources: "str | os.PathLike[str] | Iterable[str | os.PathLike[str]]",
 ) -> list[str]:
@@ -199,7 +191,7 @@ def expand_sources(
         if not isinstance(item, (str, os.PathLike)):
             raise TypeError(f"cannot prune source of type {type(item).__name__}")
         text = os.fspath(item)
-        if isinstance(item, str) and _is_markup(text):
+        if isinstance(item, str) and is_markup(text):
             expanded.append(text)
         elif os.path.isdir(text):
             expanded.extend(
@@ -227,7 +219,7 @@ def _output_paths(
     paths: list[str] = []
     used: set[str] = set()
     for index, source in enumerate(items):
-        if _is_markup(source):
+        if is_markup(source):
             name = f"doc{index:05d}{suffix or '.xml'}"
         elif suffix is not None:
             stem = os.path.splitext(os.path.basename(source))[0]
@@ -243,129 +235,29 @@ def _output_paths(
 
 def _label(source: str) -> str:
     """How a source is named in errors and traces (markup is abbreviated)."""
-    if _is_markup(source):
+    if is_markup(source):
         return f"<inline markup, {len(source)} chars>"
     return source
-
-
-# -- worker side --------------------------------------------------------------
-
-#: Per-worker state installed by :func:`_init_worker`; ``None`` in the parent.
-_WORKER_STATE: dict[str, Any] | None = None
-
-
-def _init_worker(
-    pruner: FastPruner,
-    options: "PruneOptions | ExtractOptions",
-    fingerprint: str,
-    tracing: bool,
-    spec: ExtractSpec | None = None,
-) -> None:
-    global _WORKER_STATE
-    mismatch: str | None = None
-    if grammar_fingerprint(pruner.grammar) != fingerprint:
-        # Raising here would break the whole pool (the initializer
-        # failure poisons every item the worker would have run); a flag
-        # lets each item return a structured error instead, which the
-        # parent degrades on by re-running the item itself.
-        mismatch = (
-            "grammar fingerprint changed across the process boundary; "
-            "refusing to prune against a different grammar"
-        )
-    sink: obs.MemorySink | None = None
-    if tracing:
-        sink = obs.MemorySink()
-        obs.configure(sink)
-    _WORKER_STATE = {
-        "pruner": pruner, "options": options, "sink": sink, "mismatch": mismatch,
-        "spec": spec,
-    }
-
-
-def _drain_worker_obs(
-    state: dict[str, Any],
-) -> tuple[list[dict[str, Any]], dict[str, int | float]]:
-    """Collect (and reset) the worker tracer's records and counters so
-    each task result carries exactly its own delta."""
-    sink: obs.MemorySink | None = state["sink"]
-    if sink is None:
-        return [], {}
-    tracer = obs.get_tracer()
-    records = list(sink.records)
-    sink.records.clear()
-    counters = tracer.counters
-    tracer._counters.clear()
-    return records, counters
-
-
-def _execute_item(
-    pruner: FastPruner,
-    options: PruneOptions,
-    source: str,
-    out_path: str | None,
-) -> PruneResult:
-    """Prune one document through the facade (monkeypatch point for the
-    worker-crash tests)."""
-    return prune(source, pruner.grammar, pruner.projector, out=out_path, options=options)
-
-
-def _execute_extract_item(
-    pruner: FastPruner,
-    spec: ExtractSpec,
-    options: ExtractOptions,
-    source: str,
-    out_path: str | None,
-) -> ExtractResult:
-    """Extract one document through the facade.  The projector resolves
-    through the worker's process-local cache — one inference per worker
-    for the whole batch (the spec fingerprint hits thereafter)."""
-    return extract(source, pruner.grammar, spec, out=out_path, options=options)
-
-
-def _execute(
-    pruner: FastPruner,
-    options: "PruneOptions | ExtractOptions",
-    spec: ExtractSpec | None,
-    source: str,
-    out_path: str | None,
-) -> "PruneResult | ExtractResult":
-    if spec is not None:
-        return _execute_extract_item(pruner, spec, options, source, out_path)
-    return _execute_item(pruner, options, source, out_path)
-
-
-def _run_item(index: int, source: str, out_path: str | None):
-    """Worker task: returns ``(index, error-or-None, result-or-None,
-    records, counters, pid)``.  Never raises for a bad document — errors
-    travel back as data so one malformed input cannot poison the pool."""
-    state = _WORKER_STATE
-    assert state is not None, "worker used before _init_worker ran"
-    error: tuple[str, str] | None = None
-    result: "PruneResult | ExtractResult | None" = None
-    if state["mismatch"] is not None:
-        error = (FINGERPRINT_MISMATCH, state["mismatch"])
-    else:
-        try:
-            result = _execute(
-                state["pruner"], state["options"], state["spec"], source, out_path
-            )
-            if getattr(result, "events", None) is not None:
-                result.events = None  # iterators never cross the process boundary
-        except Exception as exc:
-            error = (type(exc).__name__, str(exc))
-    records, counters = _drain_worker_obs(state)
-    return index, error, result, records, counters, os.getpid()
 
 
 # -- the engine ---------------------------------------------------------------
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
-    if jobs < 0:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+def _check_batch(jobs: int | None, timeout: float | None) -> int:
+    jobs = _resolve_jobs(jobs)
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
     return jobs
+
+
+def _per_item_deadline(opts: Any, jobs: int, timeout: float | None) -> Any:
+    """With ``jobs=1`` there is no worker to kill: the batch ``timeout``
+    folds into each item's limits deadline instead."""
+    if timeout is None or jobs != 1:
+        return opts
+    resolved = resolve_limits(opts.limits)
+    deadline = timeout if resolved.deadline is None else min(resolved.deadline, timeout)
+    return replace(opts, limits=resolved.replace(deadline=deadline))
 
 
 def prune_many(
@@ -411,51 +303,20 @@ def prune_many(
     not cover the grammar root, an unknown query language, a bad
     ``jobs``) still raise immediately.
     """
-    jobs = _resolve_jobs(jobs)
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
-    opts = _resolve_options(
-        options, fast, validate, prune_attributes, chunk_size,
-        limits=limits, fallback=fallback,
+    jobs = _check_batch(jobs, timeout)
+    opts = _per_item_deadline(
+        resolve_options(
+            options, DEFAULT_OPTIONS,
+            fast=fast, validate=validate, prune_attributes=prune_attributes,
+            chunk_size=chunk_size, limits=limits, fallback=fallback,
+        ),
+        jobs, timeout,
     )
-    if timeout is not None and jobs == 1:
-        resolved = resolve_limits(opts.limits)
-        deadline = (
-            timeout if resolved.deadline is None else min(resolved.deadline, timeout)
-        )
-        opts = replace(opts, limits=resolved.replace(deadline=deadline))
     projector = resolve_projector(grammar, queries_or_projector, cache=cache)
-    # Validates the projector against the grammar (and pre-compiles the
-    # prune table) before any process is spawned: configuration errors
-    # surface in the parent, not N times in the pool.
-    pruner = FastPruner(grammar, projector, opts.prune_attributes)
-
-    items = expand_sources(sources)
-    out_paths: list[str | None]
-    if out_dir is not None:
-        out_dir = os.fspath(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
-        out_paths = list(_output_paths(items, out_dir))
-    else:
-        out_paths = [None] * len(items)
-
-    batch = BatchResult(results=[None] * len(items), jobs=jobs)
-    started = time.perf_counter()
-    with obs.timed("prune.batch", jobs=jobs, documents=len(items)) as span:
-        if not items:
-            pass
-        elif jobs == 1:
-            _run_serial(batch, pruner, opts, items, out_paths)
-        else:
-            _run_pool(
-                batch, pruner, opts, items, out_paths, jobs, timeout, retry_crashes
-            )
-        span.stop()
-        span.merge_counters(batch.stats.as_counters())
-        span.count("errors", len(batch.errors))
-    batch.seconds = span.seconds if span.seconds else time.perf_counter() - started
-    batch.errors.sort(key=lambda error: error.index)
-    return batch
+    return _run_batch(
+        "prune.batch", PruneStats(), grammar, projector, opts.prune_attributes,
+        opts, None, sources, jobs, out_dir, timeout, retry_crashes,
+    )
 
 
 #: Output-file suffix per extract format (``_output_paths`` naming).
@@ -495,48 +356,63 @@ def extract_many(
     ``BatchResult.stats`` aggregates
     :class:`~repro.extract.stats.ExtractStats` over the successes.
     """
-    jobs = _resolve_jobs(jobs)
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
-    opts = _resolve_extract_options(
-        options, format, fast, chunk_size, limits=limits, fallback=fallback
+    jobs = _check_batch(jobs, timeout)
+    opts = _per_item_deadline(
+        resolve_options(
+            options, DEFAULT_EXTRACT_OPTIONS,
+            format=format, fast=fast, chunk_size=chunk_size,
+            limits=limits, fallback=fallback,
+        ),
+        jobs, timeout,
     )
-    if timeout is not None and jobs == 1:
-        resolved = resolve_limits(opts.limits)
-        deadline = (
-            timeout if resolved.deadline is None else min(resolved.deadline, timeout)
-        )
-        opts = replace(opts, limits=resolved.replace(deadline=deadline))
     projector = resolve_spec_projector(grammar, spec, cache=cache)
-    # Same parent-side validation as prune_many: a spec whose paths the
-    # grammar cannot satisfy fails here, before any process is spawned.
-    pruner = FastPruner(grammar, projector)
+    return _run_batch(
+        "extract.batch", ExtractStats(), grammar, projector, True,
+        opts, spec, sources, jobs, out_dir, timeout, retry_crashes,
+    )
+
+
+def _run_batch(
+    span_name: str,
+    stats: "PruneStats | ExtractStats",
+    grammar: Grammar,
+    projector: frozenset[str],
+    prune_attributes: bool,
+    opts: "PruneOptions | ExtractOptions",
+    spec: ExtractSpec | None,
+    sources: "str | os.PathLike[str] | Iterable[str | os.PathLike[str]]",
+    jobs: int,
+    out_dir: "str | os.PathLike[str] | None",
+    timeout: float | None,
+    retry_crashes: bool,
+) -> BatchResult:
+    """The batch body both adapters share: one projector (a spec's, for
+    an extraction), many documents, results in input order."""
+    # Validates the projector against the grammar (and pre-compiles the
+    # prune table) before any process is spawned: configuration errors
+    # surface in the parent, not N times in the pool.
+    pruner = FastPruner(grammar, projector, prune_attributes)
 
     items = expand_sources(sources)
-    out_paths: list[str | None]
+    out_paths: list[str | None] = [None] * len(items)
     if out_dir is not None:
         out_dir = os.fspath(out_dir)
         os.makedirs(out_dir, exist_ok=True)
-        out_paths = list(
-            _output_paths(items, out_dir, _EXTRACT_SUFFIXES[opts.format])
-        )
-    else:
-        out_paths = [None] * len(items)
+        suffix = None if spec is None else _EXTRACT_SUFFIXES[opts.format]  # type: ignore[union-attr]
+        out_paths = list(_output_paths(items, out_dir, suffix))
 
-    batch = BatchResult(
-        results=[None] * len(items), stats=ExtractStats(), jobs=jobs
-    )
+    batch = BatchResult(results=[None] * len(items), stats=stats, jobs=jobs)
     started = time.perf_counter()
-    with obs.timed("extract.batch", jobs=jobs, documents=len(items)) as span:
-        if not items:
-            pass
-        elif jobs == 1:
-            _run_serial(batch, pruner, opts, items, out_paths, spec)
-        else:
-            _run_pool(
-                batch, pruner, opts, items, out_paths, jobs, timeout,
-                retry_crashes, spec,
-            )
+    with obs.timed(span_name, jobs=jobs, documents=len(items)) as span:
+        if jobs == 1:
+            for index, (source, out_path) in enumerate(zip(items, out_paths)):
+                _attempt(batch, index, source, run_here,
+                         pruner, opts, source, out_path, spec)
+        elif items:
+            _PoolRounds(
+                batch, pruner, opts, spec, items, out_paths,
+                jobs, timeout, retry_crashes,
+            ).run()
         span.stop()
         span.merge_counters(batch.stats.as_counters())
         span.count("errors", len(batch.errors))
@@ -545,9 +421,11 @@ def extract_many(
     return batch
 
 
-def _record_success(batch: BatchResult, index: int, result: PruneResult) -> None:
+def _record_success(
+    batch: BatchResult, index: int, result: "PruneResult | ExtractResult"
+) -> None:
     batch.results[index] = result
-    batch.stats.merge(result.stats)
+    batch.stats.merge(result.stats)  # type: ignore[arg-type]
 
 
 def _record_error(
@@ -558,155 +436,107 @@ def _record_error(
     )
 
 
-def _run_serial(
-    batch: BatchResult,
-    pruner: FastPruner,
-    opts: "PruneOptions | ExtractOptions",
-    items: list[str],
-    out_paths: list[str | None],
-    spec: ExtractSpec | None = None,
+def _attempt(
+    batch: BatchResult, index: int, source: str, call: Callable[..., Any], *args: Any
 ) -> None:
-    for index, (source, out_path) in enumerate(zip(items, out_paths)):
-        try:
-            _record_success(
-                batch, index, _execute(pruner, opts, spec, source, out_path)
-            )
-        except Exception as exc:
-            _record_error(batch, index, source, type(exc).__name__, str(exc))
-
-
-def _prune_in_parent(
-    batch: BatchResult,
-    pruner: FastPruner,
-    opts: "PruneOptions | ExtractOptions",
-    items: list[str],
-    out_paths: list[str | None],
-    index: int,
-    tracer,
-    spec: ExtractSpec | None = None,
-) -> None:
-    """Degraded path for fingerprint-mismatch items: the worker's copy of
-    the grammar cannot be trusted, the parent's can — re-run the item
-    here through the event pipeline instead of failing the batch."""
-    if tracer.enabled:
-        tracer.count("parallel.fingerprint_fallbacks")
+    """Run one item in the parent, recording its result or its error."""
     try:
-        result = _execute(
-            pruner, replace(opts, fast=False), spec, items[index], out_paths[index]
-        )
+        result = call(*args)
     except Exception as exc:
-        _record_error(batch, index, items[index], type(exc).__name__, str(exc))
+        _record_error(batch, index, source, type(exc).__name__, str(exc))
     else:
         _record_success(batch, index, result)
 
 
-def _absorb_payload(
-    batch: BatchResult,
-    pruner: FastPruner,
-    opts: "PruneOptions | ExtractOptions",
-    items: list[str],
-    out_paths: list[str | None],
-    tracer,
-    workers: set[int],
-    payload,
-    spec: ExtractSpec | None = None,
-) -> None:
-    """Fold one worker task's return value into the batch."""
-    index, error, result, records, counters, pid = payload
-    workers.add(pid)
-    if tracer.enabled and (records or counters):
-        for record in records:
-            record.setdefault("attrs", {})["worker"] = pid
-        tracer.absorb(records, counters)
-    if error is None:
-        assert result is not None
-        _record_success(batch, index, result)
-    elif error[0] == FINGERPRINT_MISMATCH:
-        _prune_in_parent(batch, pruner, opts, items, out_paths, index, tracer, spec)
-    else:
-        _record_error(batch, index, items[index], error[0], error[1])
-
-
-def _kill_processes(executor: ProcessPoolExecutor) -> None:
-    """Forcibly terminate every worker of ``executor`` (stuck workers
-    cannot be cancelled: a running future ignores ``cancel()``)."""
-    processes = getattr(executor, "_processes", None) or {}
-    for process in list(processes.values()):
-        process.kill()
-
-
-def _run_pool(
-    batch: BatchResult,
-    pruner: FastPruner,
-    opts: "PruneOptions | ExtractOptions",
-    items: list[str],
-    out_paths: list[str | None],
-    jobs: int,
-    timeout: float | None,
-    retry_crashes: bool,
-    spec: ExtractSpec | None = None,
-) -> None:
-    """Run the items through worker pools in rounds: a round ends early
+class _PoolRounds:
+    """One batch on the shared worker pool, in rounds: a round ends early
     when stuck workers are killed (per-item ``timeout``) or the pool
-    breaks with ``retry_crashes`` set, and the surviving items go to a
-    fresh pool.  Each extra round is one recorded respawn."""
-    tracer = obs.get_tracer()
-    workers: set[int] = set()
-    crash_retried: set[int] = set()
-    todo = list(range(len(items)))
-    rounds = 0
-    while todo:
-        rounds += 1
-        todo = _pool_round(
-            batch, pruner, opts, items, out_paths, jobs, timeout,
-            retry_crashes, tracer, workers, crash_retried, todo, spec,
+    breaks with ``retry_crashes`` set, and the surviving items go to the
+    respawned pool.  Each extra round is one recorded respawn."""
+
+    def __init__(
+        self,
+        batch: BatchResult,
+        pruner: FastPruner,
+        opts: "PruneOptions | ExtractOptions",
+        spec: ExtractSpec | None,
+        items: list[str],
+        out_paths: list[str | None],
+        jobs: int,
+        timeout: float | None,
+        retry_crashes: bool,
+    ) -> None:
+        self.batch = batch
+        self.pruner = pruner
+        self.opts = opts
+        self.spec = spec
+        self.items = items
+        self.out_paths = out_paths
+        self.timeout = timeout
+        self.retry_crashes = retry_crashes
+        self.pool = ResidentPool(min(jobs, len(items)), tracing=obs.enabled())
+        self.key = self.pool.pin(
+            pruner.grammar, pruner.projector, pruner.table.prune_attributes
         )
-    batch.respawns = max(0, rounds - 1)
-    if tracer.enabled and workers:
-        tracer.count("parallel.workers_used", len(workers))
-        if batch.respawns:
-            tracer.count("parallel.respawns", batch.respawns)
+        self.workers: set[int] = set()
+        self.crash_retried: set[int] = set()
+        #: Items owed a personal crash retry, each run in a round alone.
+        self.alone: list[int] = []
 
+    def run(self) -> None:
+        todo = list(range(len(self.items)))
+        rounds = 0
+        try:
+            while todo or self.alone:
+                rounds += 1
+                generation = self.pool.generation
+                todo = self._round(todo or [self.alone.pop(0)])
+                if todo or self.alone:
+                    # No-op when the round already killed its workers.
+                    self.pool.respawn(generation)
+        finally:
+            self.pool.shutdown()
+        self.batch.respawns = max(0, rounds - 1)
+        if obs.enabled() and self.workers:
+            obs.count("parallel.workers_used", len(self.workers))
+            if self.batch.respawns:
+                obs.count("parallel.respawns", self.batch.respawns)
 
-def _pool_round(
-    batch: BatchResult,
-    pruner: FastPruner,
-    opts: "PruneOptions | ExtractOptions",
-    items: list[str],
-    out_paths: list[str | None],
-    jobs: int,
-    timeout: float | None,
-    retry_crashes: bool,
-    tracer,
-    workers: set[int],
-    crash_retried: set[int],
-    indices: list[int],
-    spec: ExtractSpec | None = None,
-) -> list[int]:
-    """One executor lifetime over ``indices``; returns the indices that
-    must be resubmitted to a fresh pool.
+    def _settle(self, index: int, payload: Any) -> None:
+        """Fold one worker task's return value into the batch."""
+        error, result, pid = absorb(payload)
+        self.workers.add(pid)
+        source = self.items[index]
+        if error is None:
+            _record_success(self.batch, index, result)
+        elif error[0] == FINGERPRINT_MISMATCH:
+            _attempt(
+                self.batch, index, source, rerun_in_parent,
+                "parallel.fingerprint_fallbacks",
+                self.pruner, self.opts, source, self.out_paths[index], self.spec,
+            )
+        else:
+            _record_error(self.batch, index, source, error[0], error[1])
 
-    The loop always terminates: a broken pool resolves every remaining
-    future immediately, and a kill round records at least one timeout
-    error, so every round either shrinks the outstanding item count or
-    consumes per-index crash-retry budget (bounded by ``crash_retried``,
-    see :func:`_resolve_crashed`)."""
-    max_workers = min(jobs, len(indices))
-    executor = ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=_init_worker,
-        initargs=(
-            pruner, opts, grammar_fingerprint(pruner.grammar), tracer.enabled, spec,
-        ),
-    )
-    redo: list[int] = []
-    crashed: list[tuple[int, str]] = []
-    progressed = False
-    try:
+    def _round(self, indices: list[int]) -> list[int]:
+        """One pool generation over ``indices``; returns the indices that
+        must be resubmitted to the respawned pool.
+
+        The loop always terminates: a broken pool resolves every remaining
+        future immediately, and a kill round records at least one timeout
+        error, so every round either shrinks the outstanding item count or
+        consumes per-index crash-retry budget (bounded by
+        ``crash_retried``, see :meth:`_resolve_crashed`)."""
+        timeout = self.timeout
         futures = {
-            executor.submit(_run_item, index, items[index], out_paths[index]): index
+            self.pool.submit(
+                self.key, self.items[index], self.out_paths[index], self.opts, self.spec
+            ): index
             for index in indices
         }
+        redo: list[int] = []
+        crashed: list[tuple[int, str]] = []
+        progressed = False
         pending = set(futures)
         first_running: dict[Any, float] = {}
         while pending:
@@ -729,10 +559,7 @@ def _pool_round(
                     crashed.append((index, str(exc) or type(exc).__name__))
                     continue
                 progressed = True
-                _absorb_payload(
-                    batch, pruner, opts, items, out_paths, tracer, workers,
-                    payload, spec,
-                )
+                self._settle(index, payload)
             if timeout is None or not not_done:
                 continue
             now = time.monotonic()
@@ -746,19 +573,18 @@ def _pool_round(
                 continue
             # The executor marks an item "running" once it enters the
             # call queue, which holds slightly more items than there are
-            # workers — so at most ``max_workers`` of the overdue futures
-            # can truly be executing.  Oldest first (ties by submission
+            # workers — so at most ``jobs`` of the overdue futures can
+            # truly be executing.  Oldest first (ties by submission
             # order) are the stuck ones; the rest were merely queued
             # behind a stuck worker and are rerun, not failed.
             overdue.sort(key=lambda f: (first_running[f], futures[f]))
-            stuck = set(overdue[:max_workers])
-            _kill_processes(executor)
-            executor.shutdown(wait=True, cancel_futures=True)
+            stuck = set(overdue[:self.pool.jobs])
+            self.pool.respawn(self.pool.generation)
             for future in pending:
                 index = futures[future]
                 if future in stuck:
                     _record_error(
-                        batch, index, items[index], TIMEOUT,
+                        self.batch, index, self.items[index], TIMEOUT,
                         f"worker exceeded the {timeout:g}s per-item timeout",
                     )
                     continue
@@ -769,45 +595,34 @@ def _pool_round(
                     except Exception:
                         redo.append(index)
                     else:
-                        _absorb_payload(
-                            batch, pruner, opts, items, out_paths,
-                            tracer, workers, payload, spec,
-                        )
+                        self._settle(index, payload)
                     continue
                 redo.append(index)
             break
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)
-    _resolve_crashed(
-        batch, items, crashed, progressed, retry_crashes, crash_retried, redo
-    )
-    return redo
+        self._resolve_crashed(crashed, progressed, redo)
+        return redo
 
+    def _resolve_crashed(
+        self, crashed: list[tuple[int, str]], progressed: bool, redo: list[int]
+    ) -> None:
+        """Decide, at round end, what happens to items whose futures
+        resolved as crashes.
 
-def _resolve_crashed(
-    batch: BatchResult,
-    items: list[str],
-    crashed: list[tuple[int, str]],
-    progressed: bool,
-    retry_crashes: bool,
-    crash_retried: set[int],
-    redo: list[int],
-) -> None:
-    """Decide, at round end, what happens to items whose futures resolved
-    as crashes.
-
-    A broken pool fails every pending future, so most "crashes" in a
-    round are collateral damage from one bad item.  With
-    ``retry_crashes``: if the round made progress the crashed items are
-    simply rerun (their crash is unattributable); in a round with *no*
-    progress each index gets one personal retry before being recorded —
-    which converges on blaming exactly the item that keeps crashing
-    alone.  Without ``retry_crashes`` every crash is recorded as-is."""
-    for index, message in crashed:
-        if retry_crashes and progressed:
-            redo.append(index)
-        elif retry_crashes and index not in crash_retried:
-            crash_retried.add(index)
-            redo.append(index)
-        else:
-            _record_error(batch, index, items[index], WORKER_CRASH, message)
+        A broken pool fails every pending future, so most "crashes" in a
+        round are collateral damage from one bad item.  With
+        ``retry_crashes``: if the round made progress the crashed items
+        are simply rerun (their crash is unattributable); in a round with
+        *no* progress each index gets one personal retry — in a round of
+        its own, so no other item can take it down — before being
+        recorded, which blames exactly the item that keeps crashing
+        alone.  Without ``retry_crashes`` every crash is recorded as-is."""
+        for index, message in crashed:
+            if self.retry_crashes and progressed:
+                redo.append(index)
+            elif self.retry_crashes and index not in self.crash_retried:
+                self.crash_retried.add(index)
+                self.alone.append(index)
+            else:
+                _record_error(
+                    self.batch, index, self.items[index], WORKER_CRASH, message
+                )

@@ -20,12 +20,14 @@ runs the :class:`~repro.dtd.validator.EventValidator` alongside — the
 paper's "prune while validating at no extra cost" deployment.
 
 The public entry point is the :func:`repro.api.prune` facade (re-exported
-as ``repro.prune``); it routes through the fused fast path by default
+as ``repro.prune``), a thin adapter over the shared run path
+(:mod:`repro.run`): it routes through the fused fast path by default
 (``fast=False`` forces the event pipeline, e.g. for benchmarking), while
 validation always uses the event pipeline because the validator must see
 every event, including those inside pruned subtrees.  The former
 per-source entry points (``prune_string``/``prune_file``/``prune_stream``/
-``prune_events``) remain as deprecated shims over the same internals.
+``prune_events``) remain as deprecated shims over the facade (unguarded,
+``limits="off"``) and over :func:`_prune_events`.
 
 Every pruning pass reports through :mod:`repro.obs`: a ``"prune"`` span
 carrying the :class:`~repro.projection.stats.PruneStats` counters and a
@@ -34,23 +36,16 @@ carrying the :class:`~repro.projection.stats.PruneStats` counters and a
 
 from __future__ import annotations
 
-import contextlib
-import os
 import warnings
 from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 from repro.dtd.grammar import Grammar
 from repro.dtd.validator import EventValidator
-from repro.errors import (
-    EncodingError,
-    FastPathUnsupported,
-    LimitExceeded,
-    ValidationError,
-)
+from repro.errors import ValidationError
 from repro.obs import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.limits import LimitGuard, Limits
+    from repro.limits import LimitGuard
 from repro.projection.prunetable import PruneTable, TagPlan, compile_prune_table
 from repro.projection.stats import PruneStats
 from repro.xmltree.events import (
@@ -60,8 +55,6 @@ from repro.xmltree.events import (
     StartElement,
 )
 from repro.xmltree.lexer import Source
-from repro.xmltree.parser import parse_events
-from repro.xmltree.serializer import write_events
 
 
 class StreamingPruner:
@@ -190,28 +183,6 @@ class StreamingPruner:
 # -- internal pipelines (used by the repro.api.prune facade) -----------------
 
 
-@contextlib.contextmanager
-def _open_output(path: str) -> Iterator[IO[str]]:
-    """Open ``path`` for writing under the partial-output contract.
-
-    If the body fails after the open succeeded, the partially written
-    file is removed before the error propagates — a half-pruned document
-    on disk is worse than none.  If the *open itself* fails (unwritable
-    path, missing directory), nothing is removed: a pre-existing file at
-    the path was never touched and must survive.
-    """
-    sink = open(path, "w", encoding="utf-8")
-    try:
-        with sink:
-            yield sink
-    except BaseException:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        raise
-
-
 def _prune_events(
     events: Iterable[Event],
     grammar: Grammar,
@@ -248,236 +219,6 @@ def _traced_events(iterator, pruner: StreamingPruner, tracer) -> Iterator[Event]
         span.finish()
 
 
-class _GovernedSink:
-    """Sink wrapper counting characters written (for fallback unwinding)
-    and enforcing the output-size limit.  Wraps whole buffered flushes —
-    tens of kilobytes each — so its per-call cost never shows up."""
-
-    __slots__ = ("_sink", "_guard", "written")
-
-    def __init__(self, sink: IO[str], guard: "LimitGuard | None") -> None:
-        self._sink = sink
-        self._guard = guard
-        self.written = 0
-
-    def write(self, text: str) -> int:
-        if self._guard is not None:
-            self._guard.add_output(len(text))
-        self.written += len(text)
-        return self._sink.write(text)
-
-
-def _stream_position(stream) -> int | None:
-    """``tell()`` if the stream supports it, else ``None`` (not rewindable)."""
-    try:
-        return stream.tell()
-    except (OSError, ValueError, AttributeError):
-        return None
-
-
-def _events_pass(
-    source: Source,
-    sink: "IO[str] | _GovernedSink",
-    grammar: Grammar,
-    projector: frozenset[str],
-    validate: bool,
-    prune_attributes: bool,
-    chunk_size: int,
-    stats: PruneStats,
-    guard: "LimitGuard | None",
-) -> None:
-    """The event pipeline: parse → prune → serialize."""
-    events = parse_events(source, chunk_size, guard=guard)
-    pruned = StreamingPruner(
-        grammar, projector,
-        validate=validate, prune_attributes=prune_attributes, stats=stats,
-    ).process(events)
-    stats.bytes_out = write_events(pruned, sink, declaration=False)
-
-
-def _fused_pass(
-    source: Source,
-    sink: IO[str],
-    grammar: Grammar,
-    projector: frozenset[str],
-    prune_attributes: bool,
-    chunk_size: int,
-    stats: PruneStats,
-    guard: "LimitGuard | None",
-    fallback: "bool | str",
-    tracer,
-) -> None:
-    """The fused fast path, with graceful degradation to the event
-    pipeline.
-
-    The fast path's bulk tag scan reads a whole tag — name plus *all*
-    attributes — as one token, so a tag whose attributes together exceed
-    ``max_token_bytes`` trips the token limit even though the event
-    parser (which reads attribute values one by one) would not.  That
-    and the explicit :class:`FastPathUnsupported` signal are the only
-    fallback triggers; depth/input/output/deadline violations would
-    recur in the event pipeline and propagate immediately.
-
-    Falling back rewinds the source and sink to where this call found
-    them, rolls the stats back, and resets the guard's size counters
-    (the deadline keeps running — a retry must not double the time
-    budget).  A non-rewindable stream re-raises the original error.
-    ``fallback="force"`` skips the fast attempt entirely — a test knob
-    for proving the degraded path byte-identical to the fast one.
-    """
-    governed = _GovernedSink(sink, guard)
-    if fallback != "force":
-        from repro.projection.fastpath import FastPruner
-
-        snap = stats.snapshot()
-        source_pos = None if isinstance(source, str) else _stream_position(source)
-        sink_pos = _stream_position(sink)
-        pruner = FastPruner(
-            grammar, projector, prune_attributes, stats=stats, guard=guard
-        )
-        try:
-            stats.bytes_out = pruner.write(source, governed, chunk_size=chunk_size)
-            return
-        except (FastPathUnsupported, LimitExceeded) as exc:
-            if isinstance(exc, LimitExceeded) and (
-                not fallback or exc.limit != "token_bytes"
-            ):
-                raise
-            if not isinstance(source, str):
-                if source_pos is None:
-                    raise  # can't re-read a non-seekable stream
-                source.seek(source_pos)
-            if governed.written:
-                if sink_pos is None:
-                    raise  # flushed output we cannot take back
-                sink.seek(sink_pos)
-                sink.truncate()
-                governed.written = 0
-            stats.restore(snap)
-            if guard is not None:
-                guard.rewind()
-    if tracer.enabled:
-        tracer.count("fastpath.fallbacks")
-    _events_pass(
-        source, governed, grammar, projector,
-        False, prune_attributes, chunk_size, stats, guard,
-    )
-
-
-def _prune_stream(
-    source: Source,
-    sink: IO[str],
-    grammar: Grammar,
-    projector: frozenset[str] | set[str],
-    validate: bool = False,
-    fast: bool = True,
-    chunk_size: int = 1 << 16,
-    prune_attributes: bool = True,
-    stats: PruneStats | None = None,
-    limits: "Limits | None" = None,
-    fallback: "bool | str" = True,
-) -> PruneStats:
-    """Parse → prune → serialize with constant memory; returns stats.
-
-    ``source`` is XML text or a text-mode file object; ``sink`` receives
-    the pruned markup.  ``fast=True`` (the default) uses the fused
-    scanner-level pipeline, which bulk-skips pruned regions without
-    building events; validation forces the event pipeline (the validator
-    must see every event).
-
-    ``limits`` (a resolved :class:`repro.limits.Limits` or ``None`` for
-    unguarded) bounds the pass; ``fallback`` controls the fast path's
-    graceful degradation (see :func:`_fused_pass`).  Undecodable input
-    and unencodable output surface as :class:`~repro.errors.EncodingError`.
-    """
-    if stats is None:
-        stats = PruneStats()
-    guard = limits.guard() if limits is not None else None
-    fused = fast and not validate
-    tracer = get_tracer()
-    with tracer.span(
-        "prune", mode="fast" if fused else "events", validate=validate
-    ) as span:
-        try:
-            if fused:
-                _fused_pass(
-                    source, sink, grammar, frozenset(projector),
-                    prune_attributes, chunk_size, stats, guard, fallback, tracer,
-                )
-            else:
-                governed = _GovernedSink(sink, guard) if guard is not None else sink
-                _events_pass(
-                    source, governed, grammar, frozenset(projector),
-                    validate, prune_attributes, chunk_size, stats, guard,
-                )
-        except UnicodeError as exc:
-            raise EncodingError(str(exc)) from exc
-        span.merge_counters(stats.as_counters())
-    return stats
-
-
-def _prune_file(
-    input_path: str,
-    output_path: str,
-    grammar: Grammar,
-    projector: frozenset[str] | set[str],
-    validate: bool = False,
-    fast: bool = True,
-    prune_attributes: bool = True,
-    chunk_size: int = 1 << 16,
-    limits: "Limits | None" = None,
-    fallback: "bool | str" = True,
-) -> PruneStats:
-    """Prune a document file into a new file, streaming.
-
-    If parsing or validation fails mid-stream the partially written output
-    file is removed before the error propagates (see :func:`_open_output`);
-    an output path that cannot even be opened leaves any pre-existing file
-    at that path untouched.
-    """
-    stats = PruneStats()
-    stats.bytes_in = os.path.getsize(input_path)
-    with open(input_path, "r", encoding="utf-8") as source:
-        with _open_output(output_path) as sink:
-            _prune_stream(
-                source, sink, grammar, projector,
-                validate=validate, fast=fast,
-                prune_attributes=prune_attributes, chunk_size=chunk_size,
-                stats=stats, limits=limits, fallback=fallback,
-            )
-    return stats
-
-
-def _prune_string(
-    text: str,
-    grammar: Grammar,
-    projector: frozenset[str] | set[str],
-    validate: bool = False,
-    fast: bool = True,
-    prune_attributes: bool = True,
-    chunk_size: int = 1 << 16,
-    limits: "Limits | None" = None,
-    fallback: "bool | str" = True,
-) -> tuple[str, PruneStats]:
-    """Prune XML text to XML text; returns (pruned markup, stats)."""
-    import io
-
-    stats = PruneStats()
-    # UTF-8 size, matching _prune_file's os.path.getsize — len(text) would
-    # count code points and skew ratios on non-ASCII documents; "replace"
-    # because hostile input (lone surrogates) must trip the parser's
-    # structured error, not this bookkeeping line.
-    stats.bytes_in = len(text.encode("utf-8", "replace"))
-    sink = io.StringIO()
-    _prune_stream(
-        text, sink, grammar, projector,
-        validate=validate, fast=fast,
-        prune_attributes=prune_attributes, chunk_size=chunk_size, stats=stats,
-        limits=limits, fallback=fallback,
-    )
-    return sink.getvalue(), stats
-
-
 # -- deprecated per-source entry points ---------------------------------------
 
 
@@ -512,10 +253,12 @@ def prune_stream(
 ) -> PruneStats:
     """Deprecated: use ``repro.prune(source, grammar, projector, out=sink)``."""
     _deprecated("prune_stream", "repro.prune(source, grammar, projector, out=sink)")
-    return _prune_stream(
-        source, sink, grammar, projector,
-        validate=validate, fast=fast, chunk_size=chunk_size,
-    )
+    from repro.api import prune
+
+    return prune(
+        source, grammar, projector, out=sink,
+        validate=validate, fast=fast, chunk_size=chunk_size, limits="off",
+    ).stats
 
 
 def prune_file(
@@ -528,9 +271,12 @@ def prune_file(
 ) -> PruneStats:
     """Deprecated: use ``repro.prune(path, grammar, projector, out=path)``."""
     _deprecated("prune_file", "repro.prune(input_path, grammar, projector, out=output_path)")
-    return _prune_file(
-        input_path, output_path, grammar, projector, validate=validate, fast=fast
-    )
+    from repro.api import prune
+
+    return prune(
+        input_path, grammar, projector, out=output_path,
+        validate=validate, fast=fast, limits="off",
+    ).stats
 
 
 def prune_string(
@@ -542,4 +288,7 @@ def prune_string(
 ) -> tuple[str, PruneStats]:
     """Deprecated: use ``repro.prune(text, grammar, projector)``."""
     _deprecated("prune_string", "repro.prune(text, grammar, projector)")
-    return _prune_string(text, grammar, projector, validate=validate, fast=fast)
+    from repro.api import prune
+
+    result = prune(text, grammar, projector, validate=validate, fast=fast, limits="off")
+    return result.text, result.stats  # type: ignore[return-value]

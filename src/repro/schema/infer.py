@@ -40,6 +40,7 @@ from typing import IO, Iterable
 from repro.dtd.dataguide import DataguideBuilder
 from repro.dtd.grammar import Grammar, Production
 from repro.errors import ReproError
+from repro.run import is_markup
 
 __all__ = ["InferredGrammar", "infer_grammar", "STRAY_POLICIES"]
 
@@ -120,7 +121,7 @@ def infer_grammar(
             count += 1
             continue
         for expanded in expand_sources([source]):
-            if expanded.lstrip().startswith("<"):
+            if is_markup(expanded):
                 builder.add_events(parse_events(expanded))
             else:
                 with open(expanded, "r", encoding="utf-8") as handle:

@@ -21,13 +21,14 @@ import socket
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from repro.api import PruneOptions, _is_markup
+from repro.api import PruneOptions
 from repro.errors import ProtocolError, ServiceError
 from repro.extract.api import ExtractOptions
 from repro.extract.spec import ExtractSpec
 from repro.extract.stats import ExtractStats
 from repro.limits import Limits
 from repro.projection.stats import PruneStats
+from repro.run import is_markup
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     extract_stats_from_wire,
@@ -192,7 +193,7 @@ class ServiceClient:
         if source_path is not None:
             return {"path": source_path}
         assert source is not None
-        if not _is_markup(source):
+        if not is_markup(source):
             # A local path: read it here so the server need not share our
             # filesystem.
             with open(source, "r", encoding="utf-8") as handle:

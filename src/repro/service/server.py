@@ -39,7 +39,7 @@ from dataclasses import replace
 from typing import Any, Callable
 
 from repro import obs
-from repro.api import PruneOptions, PruneResult
+from repro.api import MarkupWriter, PruneOptions, PruneResult
 from repro.core.cache import ProjectorCache, default_cache, grammar_fingerprint
 from repro.dtd.grammar import Grammar, grammar_from_text
 from repro.errors import (
@@ -49,10 +49,12 @@ from repro.errors import (
     ServiceOverloaded,
     ServiceUnavailable,
 )
-from repro.extract.api import ExtractOptions, ExtractResult
+from repro.extract.api import ExtractOptions, ExtractResult, RecordAssembler
 from repro.extract.spec import ExtractSpec
+from repro.extract.stats import ExtractStats
 from repro.limits import resolve_limits
-from repro.parallel import FINGERPRINT_MISMATCH, WORKER_CRASH, _execute
+from repro.pool import FINGERPRINT_MISMATCH, WORKER_CRASH, absorb, rerun_in_parent
+from repro.run import Attestation, attest, source_kind
 from repro.service.config import ServiceConfig
 from repro.service.protocol import (
     LEDGER_HIT,
@@ -61,6 +63,7 @@ from repro.service.protocol import (
     error_to_wire,
     extract_stats_to_wire,
     read_frame,
+    stats_from_wire,
     stats_to_wire,
 )
 from repro.service.workers import ResidentPool, WorkerFailure
@@ -316,10 +319,8 @@ class ProjectionServer:
             try:
                 if op == "analyze":
                     result = await self._do_analyze(frame)
-                elif op == "prune":
-                    result = await self._do_prune(frame)
-                elif op == "extract":
-                    result = await self._do_extract(frame)
+                elif op in ("prune", "extract"):
+                    result = await self._do_run(frame, op)
                 elif op == "check_update":
                     result = await self._do_check_update(frame)
                 else:
@@ -327,14 +328,7 @@ class ProjectionServer:
                 response: dict[str, Any] = {"id": req_id, "ok": True, "result": result}
             except WorkerFailure as exc:
                 span.set(error=exc.kind)
-                response = {
-                    "id": req_id, "ok": False,
-                    "error": {
-                        "type": exc.kind,
-                        "code": 500 if exc.kind == WORKER_CRASH else 422,
-                        "message": str(exc),
-                    },
-                }
+                response = {"id": req_id, "ok": False, "error": _failure_wire(exc)}
             except Exception as exc:
                 span.set(error=type(exc).__name__)
                 response = {"id": req_id, "ok": False, "error": error_to_wire(exc)}
@@ -471,26 +465,17 @@ class ProjectionServer:
             raise ProtocolError("request needs 'queries' (or a 'projector' list)")
         return self.cache.analyze(grammar, queries).projector
 
-    def _options_from(self, frame: dict[str, Any]) -> PruneOptions:
+    def _options_from(
+        self, frame: dict[str, Any], cls: "type[PruneOptions] | type[ExtractOptions]"
+    ) -> "PruneOptions | ExtractOptions":
         wire = frame.get("options", {})
         if not isinstance(wire, dict):
             raise ProtocolError("'options' must be an object")
         try:
-            options = PruneOptions.from_wire(wire)
+            options = cls.from_wire(wire)
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"bad options: {exc}") from None
         # Clamp to the server profile: clients tighten, never relax.
-        effective = self._limits.intersect(resolve_limits(options.limits))
-        return replace(options, limits=effective)
-
-    def _extract_options_from(self, frame: dict[str, Any]) -> ExtractOptions:
-        wire = frame.get("options", {})
-        if not isinstance(wire, dict):
-            raise ProtocolError("'options' must be an object")
-        try:
-            options = ExtractOptions.from_wire(wire)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad options: {exc}") from None
         effective = self._limits.intersect(resolve_limits(options.limits))
         return replace(options, limits=effective)
 
@@ -520,90 +505,61 @@ class ProjectionServer:
             "cache": self.cache.stats.as_dict(),
         }
 
-    async def _do_prune(self, frame: dict[str, Any]) -> dict[str, Any]:
+    async def _do_run(self, frame: dict[str, Any], op: str) -> dict[str, Any]:
+        """One ``prune`` or ``extract`` request: ledger first (a recorded
+        run is served without touching the pool), then the resident pool."""
         grammar = self._grammar_from(frame)
-        projector = self._projector_from(frame, grammar)
-        options = self._options_from(frame)
+        spec = None
+        if op == "extract":
+            spec_wire = frame.get("spec")
+            if not isinstance(spec_wire, dict):
+                raise ProtocolError("extract needs a 'spec' object")
+            try:
+                spec = ExtractSpec.from_wire(spec_wire)
+            except (TypeError, ValueError) as exc:
+                raise ProtocolError(f"bad spec: {exc}") from None
+            options = self._options_from(frame, ExtractOptions)
+            # The spec's union projector resolves through the shared cache —
+            # repeated workloads hit on the spec's content fingerprint.
+            projector = self.cache.projector_for_spec(grammar, spec)
+            consumer: "MarkupWriter | RecordAssembler" = RecordAssembler(
+                grammar, projector, spec, options
+            )
+        else:
+            projector = self._projector_from(frame, grammar)
+            options = self._options_from(frame, PruneOptions)
+            consumer = MarkupWriter(grammar, projector, options)
         source = self._source_from(frame.get("source"))
         out_path = frame.get("out_path")
         if out_path is not None and not isinstance(out_path, str):
             raise ProtocolError("'out_path' must be a string path")
         started = time.perf_counter()
-        led = None
+        entry = None
         if self._ledger is not None:
-            led = await asyncio.to_thread(
-                self._ledger_begin, frame, grammar, options, source,
-                projector=projector,
-            )
-            if led is not None and not options.validate:
-                served = await asyncio.to_thread(
-                    self._ledger_serve, led[0], out_path, "prune"
-                )
+            entry = await asyncio.to_thread(self._attest, frame, consumer, source)
+            if entry is not None and consumer.servable:
+                served = await asyncio.to_thread(entry.serve, consumer, out_path)
                 if served is not None:
-                    served["seconds"] = time.perf_counter() - started
-                    return served
-        key = self.pool.pin(grammar, projector, options.prune_attributes)
-        result, worker = await self._execute_pooled(key, source, out_path, options)
-        payload: dict[str, Any] = {
-            "stats": stats_to_wire(result.stats),
-            "seconds": time.perf_counter() - started,
-            "worker": worker,
-        }
-        if result.text is not None:
-            payload["text"] = result.text
-        if result.output_path is not None:
-            payload["output_path"] = result.output_path
-        if led is not None:
-            await asyncio.to_thread(self._ledger_record, led, "prune", result)
-            payload["ledger"] = LEDGER_RECORDED
-        return payload
-
-    async def _do_extract(self, frame: dict[str, Any]) -> dict[str, Any]:
-        grammar = self._grammar_from(frame)
-        spec_wire = frame.get("spec")
-        if not isinstance(spec_wire, dict):
-            raise ProtocolError("extract needs a 'spec' object")
-        try:
-            spec = ExtractSpec.from_wire(spec_wire)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad spec: {exc}") from None
-        options = self._extract_options_from(frame)
-        # The spec's union projector resolves through the shared cache —
-        # repeated workloads hit on the spec's content fingerprint.
-        projector = self.cache.projector_for_spec(grammar, spec)
-        source = self._source_from(frame.get("source"))
-        out_path = frame.get("out_path")
-        if out_path is not None and not isinstance(out_path, str):
-            raise ProtocolError("'out_path' must be a string path")
-        started = time.perf_counter()
-        led = None
-        if self._ledger is not None:
-            led = await asyncio.to_thread(
-                self._ledger_begin, frame, grammar, options, source, spec=spec
-            )
-            if led is not None:
-                served = await asyncio.to_thread(
-                    self._ledger_serve, led[0], out_path, "extract"
-                )
-                if served is not None:
-                    served["seconds"] = time.perf_counter() - started
-                    return served
-        key = self.pool.pin(grammar, projector)
-        result, worker = await self._execute_pooled(
-            key, source, out_path, options, spec=spec
+                    payload = _result_wire(
+                        served, stats=_stats_wire(served.stats), worker=None,
+                        ledger=LEDGER_HIT,
+                    )
+                    payload["seconds"] = time.perf_counter() - started
+                    return payload
+        key = self.pool.pin(
+            grammar, projector, getattr(options, "prune_attributes", True)
         )
-        assert isinstance(result, ExtractResult)
-        payload: dict[str, Any] = {
-            "stats": extract_stats_to_wire(result.stats),
-            "seconds": time.perf_counter() - started,
-            "worker": worker,
-        }
-        if result.text is not None:
-            payload["text"] = result.text
-        if result.output_path is not None:
-            payload["output_path"] = result.output_path
-        if led is not None:
-            await asyncio.to_thread(self._ledger_record, led, "extract", result)
+        result, worker = await self._execute_pooled(key, source, out_path, options, spec)
+        payload = _result_wire(
+            result, stats=_stats_wire(result.stats),
+            seconds=time.perf_counter() - started, worker=worker,
+        )
+        if entry is not None:
+            await asyncio.to_thread(
+                entry.record, op, result.stats,
+                text=result.text, output_path=result.output_path,
+                records=getattr(result, "records", None),
+            )
             payload["ledger"] = LEDGER_RECORDED
         return payload
 
@@ -650,7 +606,7 @@ class ProjectionServer:
 
         grammar = self._grammar_from(frame)
         projector = self._projector_from(frame, grammar)
-        options = self._options_from(frame)
+        options = self._options_from(frame, PruneOptions)
         sources_wire = frame.get("sources")
         if not isinstance(sources_wire, list):
             raise ProtocolError("prune_batch needs a 'sources' list")
@@ -673,24 +629,12 @@ class ProjectionServer:
                     key, source, out_path, options
                 )
             except WorkerFailure as exc:
-                return {
-                    "ok": False,
-                    "error": {
-                        "type": exc.kind,
-                        "code": 500 if exc.kind == WORKER_CRASH else 422,
-                        "message": str(exc),
-                    },
-                }
+                return {"ok": False, "error": _failure_wire(exc)}
             except Exception as exc:
                 return {"ok": False, "error": error_to_wire(exc)}
-            item: dict[str, Any] = {
-                "ok": True, "stats": stats_to_wire(result.stats), "worker": worker,
-            }
-            if result.text is not None:
-                item["text"] = result.text
-            if result.output_path is not None:
-                item["output_path"] = result.output_path
-            return item
+            return _result_wire(
+                result, ok=True, stats=stats_to_wire(result.stats), worker=worker
+            )
 
         items = await asyncio.gather(
             *(one(source, out) for source, out in zip(sources, out_paths))
@@ -698,8 +642,6 @@ class ProjectionServer:
         merged = PruneStats()
         for item in items:
             if item["ok"]:
-                from repro.service.protocol import stats_from_wire
-
                 merged.merge(stats_from_wire(item["stats"]))
         return {
             "items": list(items),
@@ -710,25 +652,17 @@ class ProjectionServer:
 
     # -- ledger plumbing -------------------------------------------------
 
-    def _ledger_begin(
+    def _attest(
         self,
         frame: dict[str, Any],
-        grammar: Grammar,
-        options: "PruneOptions | ExtractOptions",
+        consumer: "MarkupWriter | RecordAssembler",
         source: str,
-        projector: "frozenset[str] | None" = None,
-        spec: ExtractSpec | None = None,
-    ) -> "tuple[tuple[str, str, str, str], dict[str, Any]] | None":
+    ) -> Attestation | None:
         """Fingerprint one admitted request for the attestation ledger
         (blocking: hashes the source — call via ``asyncio.to_thread``).
         Provenance keeps the request's own grammar object (inline DTD
         text or the XMark marker), so ``verify-ledger`` can replay
         server-recorded entries with no out-of-band grammar."""
-        from repro.api import _ledger_begin
-        from repro.ledger.canonical import hash_canonical
-
-        is_path = not source.lstrip().startswith("<")
-        workload_fp = None
         prov: dict[str, Any] = {}
         gspec = frame.get("grammar")
         if isinstance(gspec, dict):
@@ -744,81 +678,14 @@ class ProjectionServer:
                 prov["grammar"] = {
                     "dtd": gspec["dtd"], "root": gspec.get("root"),
                 }
-        if spec is not None:
-            assert isinstance(options, ExtractOptions)
-            workload_fp = hash_canonical(
-                {"format": options.format, "spec": spec.fingerprint()}
-            )
-            prov["spec"] = spec.to_wire()
-            prov["format"] = options.format
+        assert self._ledger is not None
         try:
-            return _ledger_begin(
-                self._ledger, source, grammar, options,
-                resolve_limits(options.limits), prov, is_path, projector,
-                workload_fp=workload_fp,
-            )
+            return attest(self._ledger, consumer, source, source_kind(source), prov)
         except OSError:
             # An unreadable path source fails identically in the worker,
             # with the structured error the client expects — let that
             # path produce it rather than dying here.
             return None
-
-    def _ledger_serve(
-        self,
-        key: "tuple[str, str, str, str]",
-        out_path: str | None,
-        op: str,
-    ) -> dict[str, Any] | None:
-        """Serve a recorded result without touching the pool (blocking:
-        verifies the stored bytes and may write ``out_path``)."""
-        assert self._ledger is not None
-        hit = self._ledger.fetch(key)
-        if hit is None:
-            return None
-        entry, stored = hit
-        from repro.ledger.ledger import decode_stats
-
-        stats = decode_stats(entry.stats)
-        text = stored["text"]
-        payload: dict[str, Any] = {
-            "stats": (
-                stats_to_wire(stats) if op == "prune"
-                else extract_stats_to_wire(stats)
-            ),
-            "worker": None,
-            "ledger": LEDGER_HIT,
-        }
-        if out_path is not None:
-            from repro.projection.streaming import _open_output
-
-            with _open_output(out_path) as sink:
-                sink.write(text)
-            payload["output_path"] = out_path
-        else:
-            payload["text"] = text
-        return payload
-
-    def _ledger_record(
-        self,
-        led: "tuple[tuple[str, str, str, str], dict[str, Any]]",
-        op: str,
-        result: "PruneResult | ExtractResult",
-    ) -> None:
-        """Append the attestation for a completed pooled run (blocking:
-        hashes the output and fsyncs the ledger)."""
-        from repro.api import _ledger_record
-
-        assert self._ledger is not None
-        if result.text is not None:
-            _ledger_record(
-                self._ledger, led, op, result.stats, text=result.text,
-                records=getattr(result, "records", None),
-            )
-        elif result.output_path is not None:
-            _ledger_record(
-                self._ledger, led, op, result.stats,
-                output_path=result.output_path,
-            )
 
     # -- pool plumbing ---------------------------------------------------
 
@@ -835,8 +702,10 @@ class ProjectionServer:
 
         A crashed worker triggers one pool respawn (shared across every
         request that saw the same broken generation) and one retry; a
-        fingerprint-mismatch refusal degrades to an in-process run with
-        the parent's own compiled pruner, exactly like ``prune_many``.
+        fingerprint-mismatch refusal degrades to a run in this process
+        (on a thread) with the parent's own compiled pruner, exactly like
+        ``prune_many`` (the concurrency-safe cache and pure pruners make
+        this thread-safe).
         """
         for attempt in (0, 1):
             generation = self.pool.generation
@@ -851,46 +720,47 @@ class ProjectionServer:
                 raise WorkerFailure(
                     WORKER_CRASH, str(exc) or type(exc).__name__
                 ) from None
-            error, result, records, counters, pid = payload
-            tracer = obs.get_tracer()
-            if tracer.enabled and (records or counters):
-                for record in records:
-                    record.setdefault("attrs", {})["worker"] = pid
-                tracer.absorb(records, counters)
+            error, result, pid = absorb(payload)
             if error is None:
-                assert result is not None
                 return result, pid
             if error[0] == FINGERPRINT_MISMATCH:
-                return (
-                    await self._run_inline(key, source, out_path, options, spec),
-                    None,
+                result = await asyncio.to_thread(
+                    rerun_in_parent, "service.fingerprint_fallbacks",
+                    self.pool.pruner(key), options, source, out_path, spec,
                 )
+                return result, None
             raise WorkerFailure(error[0], error[1])
         raise AssertionError("unreachable")  # pragma: no cover
-
-    async def _run_inline(
-        self,
-        key,
-        source: str,
-        out_path: str | None,
-        options: "PruneOptions | ExtractOptions",
-        spec: ExtractSpec | None = None,
-    ) -> "PruneResult | ExtractResult":
-        """Degraded path for fingerprint-mismatch items: the parent's own
-        grammar is trustworthy — run on a thread with the event
-        pipeline (the concurrency-safe cache and pure pruners make this
-        thread-safe)."""
-        obs.count("service.fingerprint_fallbacks")
-        pruner = self.pool.pruner(key)
-        return await asyncio.to_thread(
-            _execute, pruner, replace(options, fast=False), spec, source, out_path
-        )
 
     async def _respawn(self, generation: int) -> None:
         assert self._respawn_lock is not None
         async with self._respawn_lock:
             if await asyncio.to_thread(self.pool.respawn, generation):
                 obs.count("service.respawns")
+
+
+def _stats_wire(stats: Any) -> dict[str, Any]:
+    if isinstance(stats, ExtractStats):
+        return extract_stats_to_wire(stats)
+    return stats_to_wire(stats)
+
+
+def _result_wire(result: "PruneResult | ExtractResult", **head: Any) -> dict[str, Any]:
+    """A result's wire payload: ``head`` first, then the collected text
+    or the output path, whichever the run produced."""
+    if result.text is not None:
+        head["text"] = result.text
+    if result.output_path is not None:
+        head["output_path"] = result.output_path
+    return head
+
+
+def _failure_wire(exc: WorkerFailure) -> dict[str, Any]:
+    return {
+        "type": exc.kind,
+        "code": 500 if exc.kind == WORKER_CRASH else 422,
+        "message": str(exc),
+    }
 
 
 # -- in-process serving (tests, notebooks, docs) -----------------------------

@@ -4,6 +4,7 @@ PruneOptions, parity with the old per-source entry points."""
 import io
 import os
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -83,25 +84,114 @@ class TestSourceDispatch:
 
 class TestAllFormsAgree:
     def test_same_output_every_way(self, book_grammar, projector, tmp_path):
+        """Every source kind (markup, path, PathLike, open stream) into
+        every ``out`` kind (collect, path, stream), for prune and extract,
+        with and without a ledger: the same bytes, stats and records.
+        With a ledger each form runs twice and the counts follow the
+        facade docstrings: an open-stream source bypasses the ledger, a
+        stream ``out`` is recorded but never served, every other form is
+        recorded once and then served."""
+        from repro import ExtractSpec, extract, obs
+        from repro.ledger import Ledger
+
         source = tmp_path / "in.xml"
         source.write_text(BOOK_XML)
-        out_file = tmp_path / "out.xml"
-
-        from_markup = prune(BOOK_XML, book_grammar, projector).text
-        from_stream = prune(io.StringIO(BOOK_XML), book_grammar, projector).text
-        prune(str(source), book_grammar, projector, out=str(out_file))
-        from_file = out_file.read_text()
-        sink = io.StringIO()
-        prune(str(source), book_grammar, projector, out=sink)
-        from_mixed = sink.getvalue()
-
-        assert from_markup == from_stream == from_file == from_mixed
+        sources = {
+            "markup": lambda: BOOK_XML,
+            "path": lambda: str(source),
+            "pathlike": lambda: source,
+            "stream": lambda: io.StringIO(BOOK_XML),
+        }
+        spec = ExtractSpec(
+            rows="/bib/book", fields={"title": "title/text()", "isbn": "@isbn"}
+        )
+        ops = {
+            "prune": lambda src, **kw: prune(src, book_grammar, projector, **kw),
+            "extract": lambda src, **kw: extract(src, book_grammar, spec, **kw),
+        }
+        for op, run in ops.items():
+            baseline = run(BOOK_XML)
+            assert baseline.stats.bytes_in == len(BOOK_XML.encode("utf-8"))
+            for src_kind, make_source in sources.items():
+                # An open stream cannot be measured: bytes_in stays 0.
+                expected_stats = (
+                    replace(baseline.stats, bytes_in=0)
+                    if src_kind == "stream" else baseline.stats
+                )
+                for out_kind in ("none", "path", "stream"):
+                    for with_ledger in (False, True):
+                        form = f"{op} {src_kind} -> {out_kind}, ledger={with_ledger}"
+                        tag = f"{op}-{src_kind}-{out_kind}-{with_ledger}"
+                        ledger = (
+                            Ledger(tmp_path / f"{tag}.jsonl", fsync=False)
+                            if with_ledger else None
+                        )
+                        runs = 2 if with_ledger else 1
+                        with obs.capture() as trace:
+                            for attempt in range(runs):
+                                out_file = tmp_path / f"{tag}-{attempt}.out"
+                                sink = io.StringIO()
+                                out = {"none": None, "path": out_file,
+                                       "stream": sink}[out_kind]
+                                result = run(make_source(), out=out, ledger=ledger)
+                                if out_kind == "none":
+                                    text = result.text
+                                    assert result.output_path is None, form
+                                elif out_kind == "path":
+                                    text = out_file.read_text()
+                                    assert result.output_path == str(out_file), form
+                                    assert result.text is None, form
+                                else:
+                                    text = sink.getvalue()
+                                    assert result.text is None, form
+                                    assert result.output_path is None, form
+                                assert text == baseline.text, form
+                                assert result.stats == expected_stats, form
+                                if op == "extract":
+                                    expected_records = (
+                                        baseline.records if out_kind == "none" else None
+                                    )
+                                    assert result.records == expected_records, form
+                        if ledger is None:
+                            continue
+                        ledger.close()
+                        if src_kind == "stream":
+                            records, hits = 0, 0
+                        elif out_kind == "stream":
+                            records, hits = 1, 0
+                        else:
+                            records, hits = 1, 1
+                        assert (ledger.appended, ledger.hits) == (records, hits), form
+                        counters = trace.counters()
+                        assert counters.get("ledger.records", 0) == records, form
+                        assert counters.get("ledger.hits", 0) == hits, form
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_fast_flag_is_byte_identical(self, book_grammar, projector, fast):
         result = prune(BOOK_XML, book_grammar, projector, fast=fast)
         baseline = prune(BOOK_XML, book_grammar, projector)
         assert result.text == baseline.text
+
+
+class TestSourceOpensBeforeSink:
+    @pytest.mark.parametrize("op", ["prune", "extract"])
+    def test_missing_input_keeps_existing_output(
+        self, book_grammar, projector, tmp_path, op
+    ):
+        """The source is opened before the sink: a missing input raises
+        without truncating (or removing) a file already at ``out``."""
+        from repro import ExtractSpec, extract
+
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"precious\n")
+        missing = str(tmp_path / "missing.xml")
+        spec = ExtractSpec(rows="/bib/book", fields={"title": "title/text()"})
+        with pytest.raises(FileNotFoundError):
+            if op == "prune":
+                prune(missing, book_grammar, projector, out=str(out))
+            else:
+                extract(missing, book_grammar, spec, out=str(out))
+        assert out.read_bytes() == b"precious\n"
 
 
 class TestOptions:

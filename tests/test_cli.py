@@ -60,7 +60,8 @@ class TestPrune:
             "--query", "//author", xml, out_path,
         ])
         assert code == 0
-        content = open(out_path).read()
+        with open(out_path) as handle:
+            content = handle.read()
         assert "author" in content and "price" not in content
 
     def test_validating_prune(self, workspace):

@@ -22,7 +22,8 @@ class TestInferDTD:
         out = str(tmp_path / "pruned.xml")
         code = main(["prune", "--infer-dtd", "--query", "//author", xml, out])
         assert code == 0
-        content = open(out).read()
+        with open(out) as handle:
+            content = handle.read()
         assert "author" in content and "price" not in content
 
     def test_run_with_inferred_grammar(self, workspace, capsys):
@@ -44,7 +45,8 @@ class TestInferDTD:
         from repro.xpath.evaluator import XPathEvaluator
 
         for path in (declared_out, inferred_out):
-            document = parse_document(open(path).read())
+            with open(path) as handle:
+                document = parse_document(handle.read())
             names = [n.text_value() for n in XPathEvaluator(document).select("//author")]
             assert names == ["Dante", "Melville", "Dante"]
 

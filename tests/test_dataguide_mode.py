@@ -30,7 +30,7 @@ import repro
 from repro import InferredGrammar, StrayDocumentError, infer_grammar
 from repro.core.cache import grammar_fingerprint, resolve_projector
 from repro.dtd.dataguide import DataguideBuilder
-from repro.errors import ReproError
+from repro.errors import ReproError, XMLSyntaxError
 from repro.extract.spec import ExtractSpec
 from repro.loading import load_grammar
 from repro.xmltree.parser import parse_events
@@ -257,6 +257,32 @@ class TestCopyPolicy:
         projector = resolve_projector(lax, ["//title"])
         with pytest.raises(ReproError, match="replay"):
             repro.prune(parse_events(STRAY_ELEMENT), lax, projector)
+
+
+class TestStreamsStayMarkup:
+    """An open stream is markup whatever its text: buffering it for the
+    escape hatch must never turn that text into a file name."""
+
+    @pytest.mark.parametrize(
+        "op,policy", [("prune", "copy"), ("extract", "error"), ("extract", "copy")]
+    )
+    @pytest.mark.parametrize("content", ["path", "garbage", "long"])
+    def test_stream_text_is_never_opened_as_a_path(
+        self, tmp_path, op, policy, content
+    ):
+        secret = tmp_path / "secret.xml"
+        secret.write_text(SAMPLE[0])
+        text = {
+            "path": str(secret), "garbage": "garbage", "long": "x" * 5000,
+        }[content]
+        grammar = infer_grammar(SAMPLE, on_stray=policy)
+        spec = ExtractSpec(rows="/bib/book", fields={"title": "title/text()"})
+        with pytest.raises(XMLSyntaxError):
+            if op == "prune":
+                projector = resolve_projector(grammar, ["//title"])
+                repro.prune(io.StringIO(text), grammar, projector)
+            else:
+                repro.extract(io.StringIO(text), grammar, spec)
 
 
 # -- batch, ledger, CLI and service wiring ------------------------------------

@@ -260,7 +260,8 @@ class TestLedgerFile:
         with Ledger(path, fsync=False) as ledger:
             entry = _record(ledger, 1)
             blob = os.path.join(path + ".store", entry.output_hash + ".json")
-            payload = json.loads(open(blob, encoding="utf-8").read())
+            with open(blob, encoding="utf-8") as handle:
+                payload = json.loads(handle.read())
             payload["text"] += "!"
             with open(blob, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle)
@@ -272,7 +273,8 @@ class TestLedgerFile:
         with Ledger(path, fsync=False) as ledger:
             for i in range(1, 4):
                 _record(ledger, i)
-        pristine = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            pristine = handle.read()
         lines = pristine.splitlines(keepends=True)
         assert len(lines) == 3
         for victim in range(3):
@@ -307,12 +309,14 @@ class TestLedgerFile:
         with Ledger(path, fsync=False) as ledger:
             _record(ledger, 1)
             _record(ledger, 2)
-        intact = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            intact = handle.read()
         with open(path, "ab") as handle:
             handle.write(b'{"v":1,"seq":3,"op":"prune","gram')
         with Ledger(path, fsync=False) as ledger:
             assert len(ledger) == 2
-        assert open(path, "rb").read() == intact
+        with open(path, "rb") as handle:
+            assert handle.read() == intact
 
     def test_shrunk_file_is_corrupt(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
@@ -403,7 +407,8 @@ class TestConcurrencyAndCrashes:
             assert os.waitstatus_to_exitcode(status) == 0, "forked writer failed"
         assert not errors
 
-        raw = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
         assert raw.endswith(b"\n"), "torn final line survived the hammer"
         with Ledger(path, fsync=False) as ledger:  # full chain verification
             assert len(ledger) == (8 + 4) * per_writer
@@ -462,14 +467,16 @@ class TestConcurrencyAndCrashes:
             os.write(fd, b'{"v":1,"seq":3,"op":"prune","grammar":"gram')
             os._exit(1)
         os.waitpid(pid, 0)
-        raw = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
         assert not raw.endswith(b"\n")  # the torn line really is there
 
         with Ledger(path, fsync=False) as ledger:
             assert len(ledger) == 2  # at most the final partial line lost
             entry = _record(ledger, 3)
             assert entry.seq == 3
-        raw = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
         assert raw.endswith(b"\n") and raw.count(b"\n") == 3
 
         report = replay_ledger(path)
@@ -556,7 +563,8 @@ class TestFacadeRecording:
             prune(doc, grammar, TITLES, out=out_a, ledger=ledger)
             prune(doc, grammar, TITLES, out=out_b, ledger=ledger)
             assert ledger.hits == 1
-            assert open(out_a).read() == open(out_b).read()
+            with open(out_a) as handle_a, open(out_b) as handle_b:
+                assert handle_a.read() == handle_b.read()
 
 
 class TestReplay:

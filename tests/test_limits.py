@@ -9,6 +9,8 @@ errors.
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from repro import Limits, obs, prune
@@ -232,6 +234,45 @@ class TestFallback:
         assert fast.elements_in == slow.elements_in
         assert fast.attributes_in == slow.attributes_in
         assert fast.bytes_out == slow.bytes_out
+
+    @pytest.mark.parametrize("op", ["prune", "extract"])
+    def test_fallback_rewinds_a_ledger_tee(self, bib, tmp_path, op):
+        """The fallback rewinds the caller's stream and restarts the
+        output hash whether or not a ledger tees the output: bytes and
+        stats equal the ledger-free run's, and the one appended entry
+        attests the sink's final text."""
+        from repro import ExtractSpec, extract
+        from repro.ledger import Ledger
+        from repro.ledger.canonical import hash_text
+
+        grammar, projector = bib
+        # Enough output ahead of the wide tag that the fast pass has
+        # already written to the caller's sink when it trips (markup is
+        # flushed every 64 KB, records row by row).
+        books = 20000 if op == "prune" else 3
+        doc = ("<bib>" + "<book><title>t</title></book>" * books
+               + self._wide_tag_doc()[5:-6] + "</bib>")
+        limits = Limits(max_token_bytes=500)
+        if op == "prune":
+            def run(**kw):
+                return prune(doc, grammar, projector, limits=limits, **kw)
+        else:
+            spec = ExtractSpec(rows="/bib/book", fields={"title": "title/text()"})
+
+            def run(**kw):
+                return extract(doc, grammar, spec, limits=limits, **kw)
+        plain_sink = io.StringIO()
+        plain = run(out=plain_sink)
+        sink = io.StringIO()
+        with Ledger(tmp_path / "ledger.jsonl", fsync=False) as ledger:
+            with obs.capture() as trace:
+                attested = run(out=sink, ledger=ledger)
+            assert ledger.appended == 1 and len(ledger) == 1
+            entry = ledger.entries[0]
+        assert sink.getvalue() == plain_sink.getvalue()
+        assert attested.stats == plain.stats
+        assert entry.output_hash == hash_text(sink.getvalue())
+        assert trace.counters().get("fastpath.fallbacks") == 1
 
     def test_fallback_does_not_extend_the_deadline(self, bib):
         grammar, projector = bib

@@ -264,13 +264,14 @@ class TestPool:
         self, corpus, book_grammar, monkeypatch
     ):
         import repro.parallel as parallel
+        import repro.pool as pool
 
         def _crash(pruner, options, source, out_path):
             os._exit(13)
 
         # fork workers inherit the patched module, so every item's worker
         # dies abruptly; the pool must report each item, not hang.
-        monkeypatch.setattr(parallel, "_execute_item", _crash)
+        monkeypatch.setattr(pool, "_execute_item", _crash)
         batch = prune_many(corpus, book_grammar, QUERY, jobs=2)
         assert batch.succeeded == 0
         assert len(batch.errors) == len(corpus)
@@ -279,10 +280,10 @@ class TestPool:
 
     @pytest.mark.skipif(not HAS_FORK, reason="crash injection requires fork")
     def test_crash_then_clean_run_reuses_nothing_stale(self, corpus, book_grammar, monkeypatch):
-        import repro.parallel as parallel
+        import repro.pool as pool
 
         monkeypatch.setattr(
-            parallel, "_execute_item", lambda *a: os._exit(13)
+            pool, "_execute_item", lambda *a: os._exit(13)
         )
         crashed = prune_many(corpus[:2], book_grammar, QUERY, jobs=2)
         assert not crashed.ok
@@ -301,10 +302,10 @@ class TestPoolTimeout:
     input order, and the pool is respawned at most once per kill."""
 
     def _stall_on(self, monkeypatch, needles):
-        import repro.parallel as parallel
+        import repro.pool as pool
         import time as _time
 
-        real = parallel._execute_item
+        real = pool._execute_item
 
         def stalling(pruner, options, source, out_path):
             if any(needle in source for needle in needles):
@@ -313,7 +314,7 @@ class TestPoolTimeout:
 
         # fork workers inherit the patched module, so the marked items
         # hang inside their worker while the rest run normally.
-        monkeypatch.setattr(parallel, "_execute_item", stalling)
+        monkeypatch.setattr(pool, "_execute_item", stalling)
 
     def test_stuck_item_times_out_others_complete(
         self, corpus, book_grammar, monkeypatch
@@ -350,16 +351,16 @@ class TestPoolTimeout:
         assert timed.texts() == plain.texts()
 
     def test_jobs1_timeout_folds_into_deadline(self, corpus, book_grammar, monkeypatch):
-        import repro.parallel as parallel
+        import repro.pool as pool
 
         seen = []
-        real = parallel._execute_item
+        real = pool._execute_item
 
         def recording(pruner, options, source, out_path):
             seen.append(options.limits)
             return real(pruner, options, source, out_path)
 
-        monkeypatch.setattr(parallel, "_execute_item", recording)
+        monkeypatch.setattr(pool, "_execute_item", recording)
         batch = prune_many(corpus[:2], book_grammar, QUERY, jobs=1, timeout=2.5)
         assert batch.ok
         assert all(lim is not None and lim.deadline == 2.5 for lim in seen)
@@ -372,10 +373,10 @@ class TestPoolTimeout:
 @pytest.mark.skipif(not HAS_FORK, reason="retry injection requires fork")
 class TestCrashRetry:
     def test_crashed_item_retried_once(self, corpus, book_grammar, monkeypatch, tmp_path):
-        import repro.parallel as parallel
+        import repro.pool as pool
 
         marker = tmp_path / "crashed-once"
-        real = parallel._execute_item
+        real = pool._execute_item
 
         def crash_first_time(pruner, options, source, out_path):
             if "doc02" in source and not marker.exists():
@@ -383,7 +384,7 @@ class TestCrashRetry:
                 os._exit(13)
             return real(pruner, options, source, out_path)
 
-        monkeypatch.setattr(parallel, "_execute_item", crash_first_time)
+        monkeypatch.setattr(pool, "_execute_item", crash_first_time)
         batch = prune_many(
             corpus, book_grammar, QUERY, jobs=2, retry_crashes=True
         )
@@ -394,15 +395,16 @@ class TestCrashRetry:
         self, corpus, book_grammar, monkeypatch
     ):
         import repro.parallel as parallel
+        import repro.pool as pool
 
-        real = parallel._execute_item
+        real = pool._execute_item
 
         def always_crash(pruner, options, source, out_path):
             if "doc02" in source:
                 os._exit(13)
             return real(pruner, options, source, out_path)
 
-        monkeypatch.setattr(parallel, "_execute_item", always_crash)
+        monkeypatch.setattr(pool, "_execute_item", always_crash)
         batch = prune_many(
             corpus, book_grammar, QUERY, jobs=2, retry_crashes=True
         )
@@ -415,9 +417,9 @@ class TestFingerprintMismatch:
     def test_mismatch_falls_back_to_parent_side_prune(
         self, corpus, book_grammar, monkeypatch
     ):
-        import repro.parallel as parallel
+        import repro.pool as pool
 
-        real = parallel.grammar_fingerprint
+        real = pool.grammar_fingerprint
         parent = os.getpid()
 
         def skewed(grammar):
@@ -427,7 +429,7 @@ class TestFingerprintMismatch:
             # the process boundary intact.
             return fingerprint if os.getpid() == parent else fingerprint + "-skewed"
 
-        monkeypatch.setattr(parallel, "grammar_fingerprint", skewed)
+        monkeypatch.setattr(pool, "grammar_fingerprint", skewed)
         with obs.capture() as sink:
             batch = prune_many(corpus, book_grammar, QUERY, jobs=2)
             obs.flush()

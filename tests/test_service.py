@@ -652,11 +652,11 @@ def test_crashed_worker_respawned_without_dropping_connections(
     """One hostile request kills its worker; the pool respawns, the request
     is retried, and a concurrent connection never notices (the PR 4
     fork-inheritance crash-injection pattern, pointed at the service)."""
-    import repro.service.workers as workers
+    import repro.pool as pool
 
     flag = tmp_path / "crash-once"
     flag.write_text("")
-    real = workers._execute_item
+    real = pool._execute_item
 
     def _crash_once(pruner, options, source, out_path):
         try:
@@ -667,7 +667,7 @@ def test_crashed_worker_respawned_without_dropping_connections(
 
     # Fork workers inherit the patched module (the pool spawns processes
     # lazily, on first submit — after this patch).
-    monkeypatch.setattr(workers, "_execute_item", _crash_once)
+    monkeypatch.setattr(pool, "_execute_item", _crash_once)
 
     with serve_background(
         ServiceConfig(port=0, jobs=2), cache=ProjectorCache()
