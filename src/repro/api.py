@@ -47,11 +47,12 @@ from repro.projection.streaming import StreamingPruner, _prune_events
 from repro.run import (
     EVENTS,
     MARKUP,
-    PATH,
     STREAM,
     WireOptions,
     deliver,
     execute,
+    measure,
+    open_source,
     resolve_options,
     source_kind,
     stray_refusal,
@@ -373,13 +374,9 @@ def _copy_verbatim(
     verbatim copy preserves every query answer, so it is always sound —
     just not pruned.  ``result.stray`` marks it."""
     stats = PruneStats()
-    if kind == PATH:
-        path = os.fspath(source)
-        stats.bytes_in = stats.bytes_out = os.path.getsize(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            result = deliver(writer, stats, handle, out)
-    else:
-        stats.bytes_in = stats.bytes_out = len(source.encode("utf-8", "replace"))  # type: ignore[union-attr]
-        result = deliver(writer, stats, source, out)  # type: ignore[arg-type]
+    measure(source, kind, stats)
+    stats.bytes_out = stats.bytes_in
+    with open_source(source, kind) as opened:
+        result = deliver(writer, stats, opened, out)
     result.stray = True
     return result

@@ -49,10 +49,10 @@ from repro.projection.streaming import StreamingPruner
 from repro.run import (
     EVENTS,
     MARKUP,
-    PATH,
     STREAM,
     WireOptions,
     execute,
+    open_source,
     resolve_options,
     source_kind,
     stray_refusal,
@@ -279,13 +279,8 @@ def _prevalidate_inferred(
             "source (markup, a path, or a stream) — not an event stream"
         )
     validator = EventValidator(grammar)
-    with stray_refusal():
-        if kind == PATH:
-            with open(os.fspath(source), "r", encoding="utf-8") as handle:
-                for event in parse_events(handle):
-                    validator.feed(event)
-        else:
-            for event in parse_events(source):
-                validator.feed(event)
+    with stray_refusal(), open_source(source, kind) as opened:
+        for event in parse_events(opened):
+            validator.feed(event)
         validator.finish()
     return source, kind  # type: ignore[return-value]

@@ -56,7 +56,7 @@ from repro.dtd.grammar import Grammar
 from repro.extract.api import extract
 from repro.projection.fastpath import FastPruner
 
-__all__ = ["PinKey", "ResidentPool", "absorb", "rerun_in_parent"]
+__all__ = ["PinKey", "ResidentPool", "absorb", "rerun_in_parent", "run_here"]
 
 #: Crash kind reported for items whose worker died before finishing them.
 WORKER_CRASH = "worker-crash"

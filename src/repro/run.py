@@ -146,7 +146,7 @@ def stray_refusal() -> Iterator[None]:
 # -- source and sink -----------------------------------------------------------
 
 
-def _measure(source: Any, kind: str, stats: Any) -> None:
+def measure(source: Any, kind: str, stats: Any) -> None:
     """``bytes_in`` by size for a path, by UTF-8 length for markup; an
     open stream cannot be measured and stays 0."""
     if kind == PATH:
@@ -159,9 +159,9 @@ def _measure(source: Any, kind: str, stats: Any) -> None:
 
 
 @contextlib.contextmanager
-def _open_source(source: Any, kind: str, stats: Any) -> Iterator[Any]:
-    """Measure the source and open it if it is a path."""
-    _measure(source, kind, stats)
+def open_source(source: Any, kind: str) -> Iterator[Any]:
+    """The source ready to read: a path opened as UTF-8 text, anything
+    else as it is."""
     if kind != PATH:
         yield source
         return
@@ -306,7 +306,7 @@ def execute(
         if consumer.provably_empty():
             # Nothing in any grammar-valid document can match, so the
             # answer is known without opening the document.
-            _measure(source, kind, stats)
+            measure(source, kind, stats)
             obs.count("static.short_circuits")
             text = consumer.empty(stats)
             stats.bytes_out = len(text.encode("utf-8"))
@@ -326,7 +326,8 @@ def execute(
         [] if consumer.records and out is None else None
     )
     hashed = entry is not None and hasattr(out, "write")
-    with _open_source(source, kind, stats) as opened, _output(out, guard, hashed) as sink:
+    measure(source, kind, stats)
+    with open_source(source, kind) as opened, _output(out, guard, hashed) as sink:
         _scan(consumer, opened, kind, sink, stats, collect, guard)
     result = _finish(consumer, stats, out, sink, collect)
     if entry is not None:

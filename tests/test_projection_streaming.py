@@ -226,8 +226,8 @@ class TestPruneFileCleanup:
     def test_unwritable_output_preserves_existing_file_markup_source(
         self, book_grammar, tmp_path, monkeypatch
     ):
-        # Same contract on the markup -> path branch, which goes through
-        # the facade's own output handling rather than _prune_file.
+        # Same contract on the markup -> path branch (no source file to
+        # open before the output).
         output = tmp_path / "precious.xml"
         output.write_text("<bib/>")
         self._deny_writes_to(monkeypatch, str(output))
@@ -238,8 +238,8 @@ class TestPruneFileCleanup:
     def test_markup_source_midstream_failure_removes_partial_output(
         self, book_grammar, tmp_path
     ):
-        # The markup -> path branch shares _open_output with _prune_file:
-        # a mid-stream failure must still remove the partial file.
+        # The markup -> path branch writes under the same _open_output
+        # contract: a mid-stream failure must still remove the partial file.
         from repro.errors import XMLSyntaxError
 
         output = tmp_path / "out.xml"
