@@ -52,7 +52,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
-from repro import obs
+from repro import obs, pool
 from repro.api import DEFAULT_OPTIONS, PruneOptions, PruneResult
 from repro.core.cache import ProjectorCache, resolve_projector, resolve_spec_projector
 from repro.dtd.grammar import Grammar
@@ -67,7 +67,6 @@ from repro.pool import (
     _resolve_jobs,
     absorb,
     rerun_in_parent,
-    run_here,
 )
 from repro.projection.fastpath import FastPruner
 from repro.projection.stats import PruneStats
@@ -405,8 +404,10 @@ def _run_batch(
     started = time.perf_counter()
     with obs.timed(span_name, jobs=jobs, documents=len(items)) as span:
         if jobs == 1:
+            # ``pool._execute_item`` is looked up per item: it is the
+            # monkeypatch point of the crash and stall tests.
             for index, (source, out_path) in enumerate(zip(items, out_paths)):
-                _attempt(batch, index, source, run_here,
+                _attempt(batch, index, source, pool._execute_item,
                          pruner, opts, source, out_path, spec)
         elif items:
             _PoolRounds(
@@ -480,18 +481,16 @@ class _PoolRounds:
         )
         self.workers: set[int] = set()
         self.crash_retried: set[int] = set()
-        #: Items owed a personal crash retry, each run in a round alone.
-        self.alone: list[int] = []
 
     def run(self) -> None:
         todo = list(range(len(self.items)))
         rounds = 0
         try:
-            while todo or self.alone:
+            while todo:
                 rounds += 1
                 generation = self.pool.generation
-                todo = self._round(todo or [self.alone.pop(0)])
-                if todo or self.alone:
+                todo = self._round(todo)
+                if todo:
                     # No-op when the round already killed its workers.
                     self.pool.respawn(generation)
         finally:
@@ -612,16 +611,16 @@ class _PoolRounds:
         round are collateral damage from one bad item.  With
         ``retry_crashes``: if the round made progress the crashed items
         are simply rerun (their crash is unattributable); in a round with
-        *no* progress each index gets one personal retry — in a round of
-        its own, so no other item can take it down — before being
-        recorded, which blames exactly the item that keeps crashing
-        alone.  Without ``retry_crashes`` every crash is recorded as-is."""
+        *no* progress each index gets one personal retry before being
+        recorded — which converges on blaming exactly the item that keeps
+        crashing alone.  Without ``retry_crashes`` every crash is recorded
+        as-is."""
         for index, message in crashed:
             if self.retry_crashes and progressed:
                 redo.append(index)
             elif self.retry_crashes and index not in self.crash_retried:
                 self.crash_retried.add(index)
-                self.alone.append(index)
+                redo.append(index)
             else:
                 _record_error(
                     self.batch, index, self.items[index], WORKER_CRASH, message

@@ -56,7 +56,7 @@ from repro.dtd.grammar import Grammar
 from repro.extract.api import extract
 from repro.projection.fastpath import FastPruner
 
-__all__ = ["PinKey", "ResidentPool", "absorb", "rerun_in_parent", "run_here"]
+__all__ = ["PinKey", "ResidentPool", "absorb", "rerun_in_parent"]
 
 #: Crash kind reported for items whose worker died before finishing them.
 WORKER_CRASH = "worker-crash"
@@ -106,22 +106,12 @@ def _execute_item(
 ) -> Any:
     """Run one document through the facade: a prune, or with ``spec`` an
     extraction (its projector resolves through the process-local cache,
-    one inference per process).  The monkeypatch point of the
-    fork-inheritance crash and stall tests."""
+    one inference per process).  Every item runs here — a worker task,
+    batch mode's serial path, the parent's re-run — so this is the
+    monkeypatch point of the fork-inheritance crash and stall tests."""
     if spec is None:
         return prune(source, pruner.grammar, pruner.projector, out=out_path, options=options)
     return extract(source, pruner.grammar, spec, out=out_path, options=options)
-
-
-def run_here(
-    pruner: FastPruner, options: Any, source: str, out_path: str | None, spec: Any = None
-) -> Any:
-    """Run one item in this process — a worker task, batch mode's serial
-    path, or the parent's re-run.  A prune calls :func:`_execute_item`
-    with four arguments, the signature its test stand-ins take."""
-    if spec is None:
-        return _execute_item(pruner, options, source, out_path)
-    return _execute_item(pruner, options, source, out_path, spec)
 
 
 def rerun_in_parent(
@@ -137,7 +127,7 @@ def rerun_in_parent(
     parent's can — re-run the item here through the event pipeline
     (``counter`` names the subsystem's fallback counter)."""
     obs.count(counter)
-    return run_here(pruner, replace(options, fast=False), source, out_path, spec)
+    return _execute_item(pruner, replace(options, fast=False), source, out_path, spec)
 
 
 # -- worker side ---------------------------------------------------------------
@@ -193,7 +183,7 @@ def _task(
         )
     else:
         try:
-            result = run_here(pruner, options, source, out_path, spec)
+            result = _execute_item(pruner, options, source, out_path, spec)
             if getattr(result, "events", None) is not None:
                 result.events = None  # iterators never cross the process boundary
         except Exception as exc:
@@ -333,17 +323,24 @@ class ResidentPool:
         """Kill the workers; the next :meth:`submit` starts fresh ones
         holding every pinned pair.  No-op (returns False) when
         ``generation`` is stale — someone already respawned past the pool
-        the caller saw."""
+        the caller saw.
+
+        The old pool is detached before it is torn down, so a submit
+        racing the teardown (the service respawns on a worker thread)
+        starts a fresh pool instead of feeding the killed one.  Waiting
+        for the teardown settles every future of the old pool before this
+        returns, which batch mode's kill path relies on."""
         if generation != self.generation:
             return False
+        executor, self._executor = self._executor, None
         self.generation += 1
         self.respawns += 1
-        if self._executor is not None:
-            _kill_processes(self._executor)
-        self.shutdown()
+        if executor is not None:
+            _kill_processes(executor)
+            executor.shutdown(wait=True, cancel_futures=True)
         return True
 
     def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)

@@ -26,8 +26,9 @@ as ``repro.prune``), a thin adapter over the shared run path
 validation always uses the event pipeline because the validator must see
 every event, including those inside pruned subtrees.  The former
 per-source entry points (``prune_string``/``prune_file``/``prune_stream``/
-``prune_events``) remain as deprecated shims over the facade (unguarded,
-``limits="off"``) and over :func:`_prune_events`.
+``prune_events``) remain as deprecated shims over the run path (unguarded,
+``limits="off"``, with the source kind their signatures fix) and over
+:func:`_prune_events`.
 
 Every pruning pass reports through :mod:`repro.obs`: a ``"prune"`` span
 carrying the :class:`~repro.projection.stats.PruneStats` counters and a
@@ -48,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.limits import LimitGuard
 from repro.projection.prunetable import PruneTable, TagPlan, compile_prune_table
 from repro.projection.stats import PruneStats
+from repro.run import MARKUP, PATH, STREAM, execute, resolve_options
 from repro.xmltree.events import (
     Characters,
     EndElement,
@@ -242,6 +244,25 @@ def prune_events(
     return _prune_events(events, grammar, projector, validate=validate, stats=stats)
 
 
+def _run_unguarded(
+    source: object,
+    kind: str,
+    out: "str | IO[str] | None",
+    grammar: Grammar,
+    projector: frozenset[str] | set[str],
+    **overrides: object,
+):
+    """Run a deprecated entry point through the shared run path,
+    unguarded as these entry points always were.  The source kind is the
+    one the entry point's signature fixes, never read off the content:
+    ``prune_string`` parses its string as markup even when it looks like
+    a file name."""
+    from repro.api import DEFAULT_OPTIONS, MarkupWriter
+
+    options = resolve_options(None, DEFAULT_OPTIONS, limits="off", **overrides)
+    return execute(MarkupWriter(grammar, projector, options), source, kind, out)
+
+
 def prune_stream(
     source: Source,
     sink: IO[str],
@@ -253,11 +274,11 @@ def prune_stream(
 ) -> PruneStats:
     """Deprecated: use ``repro.prune(source, grammar, projector, out=sink)``."""
     _deprecated("prune_stream", "repro.prune(source, grammar, projector, out=sink)")
-    from repro.api import prune
-
-    return prune(
-        source, grammar, projector, out=sink,
-        validate=validate, fast=fast, chunk_size=chunk_size, limits="off",
+    # Whatever the source, it is read as it is and not measured
+    # (``bytes_in`` stays 0), a string included.
+    return _run_unguarded(
+        source, STREAM, sink, grammar, projector,
+        validate=validate, fast=fast, chunk_size=chunk_size,
     ).stats
 
 
@@ -271,11 +292,9 @@ def prune_file(
 ) -> PruneStats:
     """Deprecated: use ``repro.prune(path, grammar, projector, out=path)``."""
     _deprecated("prune_file", "repro.prune(input_path, grammar, projector, out=output_path)")
-    from repro.api import prune
-
-    return prune(
-        input_path, grammar, projector, out=output_path,
-        validate=validate, fast=fast, limits="off",
+    return _run_unguarded(
+        input_path, PATH, output_path, grammar, projector,
+        validate=validate, fast=fast,
     ).stats
 
 
@@ -288,7 +307,7 @@ def prune_string(
 ) -> tuple[str, PruneStats]:
     """Deprecated: use ``repro.prune(text, grammar, projector)``."""
     _deprecated("prune_string", "repro.prune(text, grammar, projector)")
-    from repro.api import prune
-
-    result = prune(text, grammar, projector, validate=validate, fast=fast, limits="off")
-    return result.text, result.stats  # type: ignore[return-value]
+    result = _run_unguarded(
+        text, MARKUP, None, grammar, projector, validate=validate, fast=fast
+    )
+    return result.text, result.stats

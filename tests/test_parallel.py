@@ -266,7 +266,7 @@ class TestPool:
         import repro.parallel as parallel
         import repro.pool as pool
 
-        def _crash(pruner, options, source, out_path):
+        def _crash(pruner, options, source, out_path, spec=None):
             os._exit(13)
 
         # fork workers inherit the patched module, so every item's worker
@@ -307,10 +307,10 @@ class TestPoolTimeout:
 
         real = pool._execute_item
 
-        def stalling(pruner, options, source, out_path):
+        def stalling(pruner, options, source, out_path, spec=None):
             if any(needle in source for needle in needles):
                 _time.sleep(60)
-            return real(pruner, options, source, out_path)
+            return real(pruner, options, source, out_path, spec)
 
         # fork workers inherit the patched module, so the marked items
         # hang inside their worker while the rest run normally.
@@ -356,9 +356,9 @@ class TestPoolTimeout:
         seen = []
         real = pool._execute_item
 
-        def recording(pruner, options, source, out_path):
+        def recording(pruner, options, source, out_path, spec=None):
             seen.append(options.limits)
-            return real(pruner, options, source, out_path)
+            return real(pruner, options, source, out_path, spec)
 
         monkeypatch.setattr(pool, "_execute_item", recording)
         batch = prune_many(corpus[:2], book_grammar, QUERY, jobs=1, timeout=2.5)
@@ -378,11 +378,11 @@ class TestCrashRetry:
         marker = tmp_path / "crashed-once"
         real = pool._execute_item
 
-        def crash_first_time(pruner, options, source, out_path):
+        def crash_first_time(pruner, options, source, out_path, spec=None):
             if "doc02" in source and not marker.exists():
                 marker.touch()
                 os._exit(13)
-            return real(pruner, options, source, out_path)
+            return real(pruner, options, source, out_path, spec)
 
         monkeypatch.setattr(pool, "_execute_item", crash_first_time)
         batch = prune_many(
@@ -399,10 +399,10 @@ class TestCrashRetry:
 
         real = pool._execute_item
 
-        def always_crash(pruner, options, source, out_path):
+        def always_crash(pruner, options, source, out_path, spec=None):
             if "doc02" in source:
                 os._exit(13)
-            return real(pruner, options, source, out_path)
+            return real(pruner, options, source, out_path, spec)
 
         monkeypatch.setattr(pool, "_execute_item", always_crash)
         batch = prune_many(

@@ -129,6 +129,45 @@ class TestStreamingBehaviour:
         assert pruner._skip_depth == 0
 
 
+class TestDeprecatedShimsReadMarkup:
+    """The deprecated per-source entry points take the source kind from
+    their signature, never from the content: ``prune_string`` and
+    ``prune_stream`` parse a string as markup even when it names a file,
+    so they can neither return a local file nor fail with an ``OSError``
+    on garbage."""
+
+    @pytest.fixture
+    def existing_path(self, tmp_path):
+        path = tmp_path / "secret.xml"
+        path.write_text(BOOK_XML, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_prune_string_never_opens_a_path(self, book_grammar, existing_path, fast):
+        from repro.errors import XMLSyntaxError
+        from repro.projection.streaming import prune_string
+
+        for text in (existing_path, "garbage", "x" * 5000):
+            with pytest.deprecated_call(), pytest.raises(XMLSyntaxError):
+                prune_string(text, book_grammar, frozenset({"bib"}), fast=fast)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_prune_stream_reads_a_string_as_unmeasured_markup(
+        self, book_grammar, existing_path, fast
+    ):
+        from repro.errors import XMLSyntaxError
+        from repro.projection.streaming import prune_stream
+
+        projector = book_grammar.projector_closure(["title"])
+        with pytest.deprecated_call(), pytest.raises(XMLSyntaxError):
+            prune_stream(existing_path, io.StringIO(), book_grammar, projector, fast=fast)
+        sink = io.StringIO()
+        with pytest.deprecated_call():
+            stats = prune_stream(BOOK_XML, sink, book_grammar, projector, fast=fast)
+        assert sink.getvalue() == prune(BOOK_XML, book_grammar, projector).text
+        assert stats.bytes_in == 0
+
+
 class TestByteAccounting:
     @pytest.mark.parametrize("fast", [True, False])
     def test_prune_string_counts_utf8_bytes(self, book_grammar, fast):

@@ -658,11 +658,11 @@ def test_crashed_worker_respawned_without_dropping_connections(
     flag.write_text("")
     real = pool._execute_item
 
-    def _crash_once(pruner, options, source, out_path):
+    def _crash_once(pruner, options, source, out_path, spec=None):
         try:
             os.unlink(flag)  # exactly one worker claims the crash
         except FileNotFoundError:
-            return real(pruner, options, source, out_path)
+            return real(pruner, options, source, out_path, spec)
         os._exit(13)
 
     # Fork workers inherit the patched module (the pool spawns processes
@@ -699,6 +699,48 @@ def test_crashed_worker_respawned_without_dropping_connections(
             # The respawned pool serves fresh work normally.
             after = c.prune(BOOK_XML, dtd=BOOK_DTD, root="bib", queries=[QUERY])
             assert after.text == expected
+
+
+def test_submit_racing_a_respawn_gets_a_fresh_pool(book_grammar):
+    """The service respawns on a worker thread while the event loop keeps
+    submitting.  A submit made while the killed pool is still being torn
+    down must start a fresh pool, not feed the dead one (which would fail
+    an innocent request and trigger a second respawn)."""
+    from repro.api import PruneOptions
+    from repro.service import ResidentPool
+
+    projector = resolve_projector(book_grammar, [QUERY], cache=ProjectorCache())
+    pool = ResidentPool(jobs=1)
+    key = pool.pin(book_grammar, projector)
+    try:
+        error, first, *_ = pool.submit(key, BOOK_XML, None, PruneOptions()).result(60)
+        assert error is None
+        old = pool._executor
+        entered, release = threading.Event(), threading.Event()
+        real_shutdown = old.shutdown
+
+        def slow_shutdown(*args, **kwargs):
+            entered.set()
+            release.wait(30)
+            real_shutdown(*args, **kwargs)
+
+        old.shutdown = slow_shutdown
+        respawner = threading.Thread(target=pool.respawn, args=(pool.generation,))
+        respawner.start()
+        try:
+            assert entered.wait(30)
+            error, again, *_ = pool.submit(
+                key, BOOK_XML, None, PruneOptions()
+            ).result(60)
+        finally:
+            release.set()
+            respawner.join(30)
+        assert not respawner.is_alive()
+        assert error is None
+        assert again.text == first.text
+        assert pool.respawns == 1
+    finally:
+        pool.shutdown()
 
 
 # -- the soak: concurrent clients vs the serial facade ------------------------
