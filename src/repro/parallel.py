@@ -453,7 +453,8 @@ class _PoolRounds:
     """One batch on the shared worker pool, in rounds: a round ends early
     when stuck workers are killed (per-item ``timeout``) or the pool
     breaks with ``retry_crashes`` set, and the surviving items go to the
-    respawned pool.  Each extra round is one recorded respawn."""
+    respawned pool.  A crash suspect's retry is a round of its own (see
+    :meth:`_resolve_crashed`)."""
 
     def __init__(
         self,
@@ -481,21 +482,25 @@ class _PoolRounds:
         )
         self.workers: set[int] = set()
         self.crash_retried: set[int] = set()
+        #: Crash suspects waiting for their retry, each in a round alone.
+        self.suspects: list[int] = []
 
     def run(self) -> None:
         todo = list(range(len(self.items)))
-        rounds = 0
         try:
-            while todo:
-                rounds += 1
+            while todo or self.suspects:
                 generation = self.pool.generation
-                todo = self._round(todo)
-                if todo:
+                if self.suspects:
+                    redo, broken = self._round([self.suspects.pop(0)])
+                    todo = redo + todo
+                else:
+                    todo, broken = self._round(todo)
+                if broken and (todo or self.suspects):
                     # No-op when the round already killed its workers.
                     self.pool.respawn(generation)
         finally:
             self.pool.shutdown()
-        self.batch.respawns = max(0, rounds - 1)
+        self.batch.respawns = self.pool.respawns
         if obs.enabled() and self.workers:
             obs.count("parallel.workers_used", len(self.workers))
             if self.batch.respawns:
@@ -517,9 +522,10 @@ class _PoolRounds:
         else:
             _record_error(self.batch, index, source, error[0], error[1])
 
-    def _round(self, indices: list[int]) -> list[int]:
-        """One pool generation over ``indices``; returns the indices that
-        must be resubmitted to the respawned pool.
+    def _round(self, indices: list[int]) -> tuple[list[int], bool]:
+        """One pool generation over ``indices``, in submission order;
+        returns the indices that must be resubmitted to the respawned pool,
+        and whether a worker crash broke the pool.
 
         The loop always terminates: a broken pool resolves every remaining
         future immediately, and a kill round records at least one timeout
@@ -535,7 +541,6 @@ class _PoolRounds:
         }
         redo: list[int] = []
         crashed: list[tuple[int, str]] = []
-        progressed = False
         pending = set(futures)
         first_running: dict[Any, float] = {}
         while pending:
@@ -557,7 +562,6 @@ class _PoolRounds:
                     # pool fails *every* pending item, innocent or not.
                     crashed.append((index, str(exc) or type(exc).__name__))
                     continue
-                progressed = True
                 self._settle(index, payload)
             if timeout is None or not not_done:
                 continue
@@ -598,30 +602,37 @@ class _PoolRounds:
                     continue
                 redo.append(index)
             break
-        self._resolve_crashed(crashed, progressed, redo)
-        return redo
+        self._resolve_crashed(crashed, indices, redo)
+        return redo, bool(crashed)
 
     def _resolve_crashed(
-        self, crashed: list[tuple[int, str]], progressed: bool, redo: list[int]
+        self, crashed: list[tuple[int, str]], indices: list[int], redo: list[int]
     ) -> None:
         """Decide, at round end, what happens to items whose futures
         resolved as crashes.
 
         A broken pool fails every pending future, so most "crashes" in a
-        round are collateral damage from one bad item.  With
-        ``retry_crashes``: if the round made progress the crashed items
-        are simply rerun (their crash is unattributable); in a round with
-        *no* progress each index gets one personal retry before being
-        recorded — which converges on blaming exactly the item that keeps
-        crashing alone.  Without ``retry_crashes`` every crash is recorded
-        as-is."""
-        for index, message in crashed:
-            if self.retry_crashes and progressed:
-                redo.append(index)
-            elif self.retry_crashes and index not in self.crash_retried:
-                self.crash_retried.add(index)
-                redo.append(index)
-            else:
+        round are collateral damage from one bad item.  Workers take items
+        in submission order, one at a time, so only the first ``jobs``
+        crashed items can have been running when the pool broke: in a
+        round where nothing finished, the first ``jobs`` submitted.  With
+        ``retry_crashes`` only those are suspects, and each gets one retry
+        in a round of its own, where a crash can only be its own and is
+        recorded; the rest are rerun without spending their retry.  (A
+        finished item whose result the broken pool lost counts as crashed;
+        if it pushes the culprit out of the suspects, the culprit is rerun
+        and caught in a later round.)  So only the culprit is blamed, in a
+        number of rounds that does not grow with the batch.  Without
+        ``retry_crashes`` every crash is recorded as-is."""
+        order = {index: position for position, index in enumerate(indices)}
+        crashed.sort(key=lambda crash: order[crash[0]])
+        for rank, (index, message) in enumerate(crashed):
+            if not self.retry_crashes or index in self.crash_retried:
                 _record_error(
                     self.batch, index, self.items[index], WORKER_CRASH, message
                 )
+            elif rank < self.pool.jobs:
+                self.crash_retried.add(index)
+                self.suspects.append(index)
+            else:
+                redo.append(index)

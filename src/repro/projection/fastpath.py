@@ -7,9 +7,13 @@ about to discard.  Profiling shows parsing dominates the pipeline, so the
 fast path fuses all three stages onto the scanner:
 
 * one compiled regex is the tokenizer: each match is a run of plain
-  character data followed by a plain start or end tag, split into name,
-  attributes and the empty-element slash at C speed — one ``re.match``
-  per token, no char-by-char scanning and no event objects;
+  character data followed by a plain start or end tag — or a whole
+  text-only leaf element — split into name, attributes and the
+  empty-element slash at C speed.  The loops iterate back-to-back matches
+  over the buffered input (:meth:`Scanner.matches`), so a token costs no
+  Python call, no char-by-char scanning and no event object; the
+  scanner's position is committed only where something else reads on or
+  an error quotes it;
 * anything the regex does not match (entity references, comments,
   CDATA, processing instructions, a DOCTYPE, markup straddling a chunk
   edge or over the token limit, malformed markup) goes to one
@@ -77,12 +81,27 @@ _END_TAG_RE = re.compile(r"(" + _NAME + r")\s*\Z")
 _CLOSE_TAG_RE = re.compile(r"/(" + _NAME + r")\s*\Z")
 #: The tokenizer: plain character data (no ``<``, no ``&``) followed by a
 #: plain end tag or start tag, in the groups ``(text, closing, tag,
-#: attributes, slash)``.  Built from the same pieces as the per-construct
-#: regexes above, it accepts a strict subset of what they accept and
-#: splits it into the same groups; everything else is a miss.
+#: attributes, slash, leaf)``.  A start tag followed by character data
+#: without ``<`` or ``&`` and its own end tag (a backreference to the start
+#: tag's name) is a *text-only leaf*, matched as one token with the text in
+#: ``leaf``; ``leaf`` is ``None`` for every other token, and ``slash`` is
+#: ``None`` when there is none.  Built from the same pieces as the
+#: per-construct regexes above, it accepts a strict subset of what they
+#: accept and splits it into the same groups (a leaf read the hard way is
+#: two tokens: its start tag, then its text and end tag); everything else
+#: is a miss.
 _TOKEN_RE = re.compile(
     r"([^<&]*)<(?:/(" + _NAME + r")\s*"
-    r"|(" + _NAME + r")(" + _ATTRIBUTES + r")\s*(/?))>"
+    r"|(" + _NAME + r")(" + _ATTRIBUTES + r")\s*"
+    r"(?:(/)|>([^<&]*)</\3(?!" + _NAME_CHAR + r")\s*)?)>"
+)
+#: The skip loop's tokenizer: :data:`_TOKEN_RE` with each text captured
+#: only as its first character, which tells whether it is empty — a
+#: skipped region keeps no text, so none is copied out of the buffer.
+_SKIP_TOKEN_RE = re.compile(
+    r"([^<&]?)[^<&]*<(?:/(" + _NAME + r")\s*"
+    r"|(" + _NAME + r")(" + _ATTRIBUTES + r")\s*"
+    r"(?:(/)|>([^<&]?)[^<&]*</\3(?!" + _NAME_CHAR + r")\s*)?)>"
 )
 
 #: What :func:`_read_token` returns for a CDATA section or processing
@@ -224,12 +243,30 @@ def _governor(guard: "LimitGuard | None") -> tuple[Callable[[], None] | None, in
     """The guard as the token loops use it: the deadline tick, or ``None``
     when no deadline is set, and the depth bound as a plain integer the
     loops compare against inline (they call the guard only to raise).
-    Token sizes are bounded by :meth:`Scanner.match_token` and the
-    readers."""
+    Token sizes are bounded by :meth:`Scanner.matches` and the readers."""
     if guard is None:
         return None, sys.maxsize
     tick = guard.tick if guard.deadline_at is not None else None
     return tick, sys.maxsize if guard.max_depth is None else guard.max_depth
+
+
+def _commit(scanner: Scanner, match: "re.Match[str] | None") -> None:
+    """Move the scanner past ``match``, the last token a loop took from
+    :meth:`Scanner.matches`; ``None`` means the readers already did.  The
+    loops commit only before they read on by other means and before an
+    error that quotes the position."""
+    if match is not None:
+        scanner.consume_to(match.end())
+
+
+def _commit_start_tag(
+    scanner: Scanner, match: "re.Match[str] | None", leaf: "str | None"
+) -> None:
+    """:func:`_commit` up to the end of the start tag just taken, where its
+    attribute errors are reported: for a leaf token, where its text
+    begins."""
+    if match is not None:
+        scanner.consume_to(match.end() if leaf is None else match.start(6))
 
 
 def _check_duplicates(scanner: Scanner, tag: str, names: list[str]) -> None:
@@ -289,13 +326,16 @@ class FastPruner:
         guard = self.guard
         tick, max_depth = _governor(guard)
         scanner = Scanner(source, chunk_size, guard=guard)
-        match_token = scanner.match_token
         helper = EventParser(scanner)
-        stats = self.stats
         table = self.table
         local = table.local
         by_tag = table.by_tag
         by_parent = table.by_parent
+        # The PruneStats counters, added to ``self.stats`` once per pass.
+        elements_in = elements_out = attributes_in = attributes_out = 0
+        texts_in = texts_out = 0
+        tags_in: set[str] = set()
+        tags_out: set[str] = set()
 
         out: list[str] = []
         out_length = 0
@@ -305,7 +345,13 @@ class FastPruner:
         #: as the event serializer's one-event lookahead does.
         pending: str | None = None
         open_kept: list[tuple[str, TagPlan]] = []
+        plan: TagPlan | None = None  # of the innermost open kept element
         seen_root = False
+        # Inside the root, tokens come from ``matches`` until a miss, which
+        # the reader takes; ``match`` is the last one taken while the
+        # scanner position lags behind it (see _commit).
+        matches: Iterator[re.Match[str]] = iter(())
+        match: re.Match[str] | None = None
 
         helper._parse_prolog()  # consumes an XML declaration if present
 
@@ -313,26 +359,34 @@ class FastPruner:
             if tick is not None:
                 tick()
             if open_kept:
-                plan = open_kept[-1][1]
-                token = match_token(_TOKEN_RE)
+                token = next(matches, None)
                 if token is not None:
-                    text, closing, tag, attrs_text, slash = token
+                    match = token
+                    text, closing, tag, attrs_text, slash, leaf = token.groups()
                     misc = None
                 else:
+                    _commit(scanner, match)
+                    match = None
                     text, closing, tag, attrs_text, slash, misc = _read_token(
                         scanner, helper, len(open_kept), plan.text_kept
                     )
+                    leaf = None
+                    if text and plan.text_kept:
+                        # Expanded references can spell the '&' and '<'
+                        # the token regex never matches; '>' is escaped
+                        # below, as for every token.
+                        text = text.replace("&", "&amp;").replace("<", "&lt;")
+                    matches = scanner.matches(_TOKEN_RE)
                 if text:
+                    texts_in += 1
                     if plan.text_kept:
-                        if stats is not None:
-                            stats.texts_in += 1
-                            stats.texts_out += 1
+                        texts_out += 1
                         if pending is not None:
                             out.append(pending)
                             out.append(">")
                             out_length += len(pending) + 1
                             pending = None
-                        piece = escape_text(text)
+                        piece = text.replace(">", "&gt;")
                         if len(piece) >= buffer_size:
                             # A run already larger than the buffer goes to
                             # the sink directly — joining it into ``out``
@@ -347,17 +401,17 @@ class FastPruner:
                         else:
                             out.append(piece)
                             out_length += len(piece)
-                    elif stats is not None:
-                        stats.texts_in += 1
             else:
                 text, closing, tag, attrs_text, slash, misc = _read_token(
                     scanner, helper, 0, False, seen_root=seen_root
                 )
+                leaf = None
             if closing is not None:
                 if not open_kept:
                     raise scanner.error(f"closing tag </{closing}> with no open element")
                 expected = open_kept.pop()[0]
                 if expected != closing:
+                    _commit(scanner, match)
                     raise scanner.error(
                         f"mismatched closing tag </{closing}>, expected </{expected}>"
                     )
@@ -370,71 +424,100 @@ class FastPruner:
                     piece = f"</{closing}>"
                     out.append(piece)
                     out_length += len(piece)
+                if open_kept:
+                    plan = open_kept[-1][1]
+                else:  # the root's end tag: the rest is read the hard way
+                    _commit(scanner, match)
+                    match = None
             elif tag is not None:
                 if local:
-                    plan = by_tag.get(tag)
+                    child = by_tag.get(tag)
                 else:
-                    parent = open_kept[-1][1].name if open_kept else None
-                    plan = by_parent.get((parent, tag))
-                if plan is None:
+                    child = by_parent.get((plan.name if open_kept else None, tag))
+                if child is None:
                     # Attribute syntax/entity errors still win over the
                     # undeclared-element error, exactly as the event
                     # pipeline's parser runs ahead of its pruner.
                     if attrs_text:
+                        _commit_start_tag(scanner, match, leaf)
                         self._validate_skipped_attributes(scanner, tag, attrs_text)
                     raise ValidationError(f"undeclared element <{tag}>")
                 seen_root = True
-                if plan.keep:
+                elements_in += 1
+                tags_in.add(tag)
+                if child.keep:
                     if attrs_text:
+                        _commit_start_tag(scanner, match, leaf)
                         rendered, count_in, count_out = self._render_attributes(
-                            scanner, tag, attrs_text, plan.prunable
+                            scanner, tag, attrs_text, child.prunable
                         )
+                        attributes_in += count_in
+                        attributes_out += count_out
                     else:
-                        rendered, count_in, count_out = "", 0, 0
-                    if stats is not None:
-                        stats.elements_in += 1
-                        stats.attributes_in += count_in
-                        stats.distinct_tags_in.add(tag)
-                        stats.elements_out += 1
-                        stats.attributes_out += count_out
-                        stats.distinct_tags_out.add(tag)
+                        rendered = ""
+                    elements_out += 1
+                    tags_out.add(tag)
                     if pending is not None:
                         out.append(pending)
                         out.append(">")
                         out_length += len(pending) + 1
                     markup = f"<{tag}{rendered}"
-                    if slash:
+                    if leaf is not None:  # the whole element, emitted at once
+                        if len(open_kept) + 1 > max_depth:
+                            guard.check_depth(len(open_kept) + 1)  # type: ignore[union-attr]
+                        if leaf:
+                            texts_in += 1
+                        if leaf and child.text_kept:
+                            texts_out += 1
+                            piece = f"{markup}>{leaf.replace('>', '&gt;')}</{tag}>"
+                        else:
+                            piece = markup + "/>"
+                        out.append(piece)
+                        out_length += len(piece)
+                        pending = None
+                    elif slash:
                         out.append(markup)
                         out.append("/>")
                         out_length += len(markup) + 2
                         pending = None
                     else:
                         pending = markup
-                        open_kept.append((tag, plan))
+                        open_kept.append((tag, child))
+                        plan = child
                         if len(open_kept) > max_depth:
                             guard.check_depth(len(open_kept))  # type: ignore[union-attr]
                 else:
-                    count = (
-                        self._validate_skipped_attributes(scanner, tag, attrs_text)
-                        if attrs_text
-                        else 0
-                    )
-                    if stats is not None:
-                        stats.elements_in += 1
-                        stats.attributes_in += count
-                        stats.distinct_tags_in.add(tag)
-                    if not slash:
-                        self._skip_subtree(
-                            scanner, tag, stats, len(open_kept), tick, max_depth
+                    if attrs_text:
+                        if attrs_text.count("=") == 1 and "&" not in attrs_text:
+                            attributes_in += 1  # one attribute, nothing to check
+                        else:
+                            _commit_start_tag(scanner, match, leaf)
+                            attributes_in += self._validate_skipped_attributes(
+                                scanner, tag, attrs_text
+                            )
+                    if leaf is not None:  # the whole element, skipped at once
+                        if len(open_kept) + 1 > max_depth:
+                            guard.check_depth(len(open_kept) + 1)  # type: ignore[union-attr]
+                        if leaf:
+                            texts_in += 1
+                    elif not slash:
+                        _commit(scanner, match)
+                        match = None
+                        skipped_elements, skipped_attributes, skipped_texts = (
+                            self._skip_subtree(
+                                scanner, tag, tags_in, len(open_kept), tick, max_depth
+                            )
                         )
+                        elements_in += skipped_elements
+                        attributes_in += skipped_attributes
+                        texts_in += skipped_texts
+                        matches = scanner.matches(_TOKEN_RE)
             elif misc is not None:
                 kind = type(misc)
                 if kind is Characters:  # a CDATA section
-                    if stats is not None:
-                        stats.texts_in += 1
+                    texts_in += 1
                     if plan.text_kept:
-                        if stats is not None:
-                            stats.texts_out += 1
+                        texts_out += 1
                         if pending is not None:
                             out.append(pending)
                             out.append(">")
@@ -480,6 +563,16 @@ class FastPruner:
         if out:
             written += out_length
             sink.write("".join(out))
+        stats = self.stats
+        if stats is not None:
+            stats.elements_in += elements_in
+            stats.elements_out += elements_out
+            stats.attributes_in += attributes_in
+            stats.attributes_out += attributes_out
+            stats.texts_in += texts_in
+            stats.texts_out += texts_out
+            stats.distinct_tags_in |= tags_in
+            stats.distinct_tags_out |= tags_out
         tracer = get_tracer()
         if tracer.enabled:
             # Process-wide fused-scan counters (per-document quantities
@@ -497,17 +590,25 @@ class FastPruner:
     ) -> Iterator[Event]:
         """The same fused traversal as an event stream: identical to
         ``prune_events(parse_events(source), ...)`` but pruned subtrees
-        are bulk-skipped instead of parsed into events."""
+        are bulk-skipped instead of parsed into events.  The stats are
+        complete when :class:`EndDocument` is yielded."""
         guard = self.guard
         tick, max_depth = _governor(guard)
         scanner = Scanner(source, chunk_size, guard=guard)
-        match_token = scanner.match_token
         helper = EventParser(scanner)
-        stats = self.stats
         table = self.table
         local = table.local
+        by_tag = table.by_tag
+        by_parent = table.by_parent
+        elements_in = elements_out = attributes_in = attributes_out = 0
+        texts_in = texts_out = 0
+        tags_in: set[str] = set()
+        tags_out: set[str] = set()
         open_kept: list[tuple[str, TagPlan]] = []
+        plan: TagPlan | None = None
         seen_root = False
+        matches: Iterator[re.Match[str]] = iter(())
+        match: re.Match[str] | None = None
 
         yield helper._parse_prolog()
 
@@ -515,89 +616,117 @@ class FastPruner:
             if tick is not None:
                 tick()
             if open_kept:
-                plan = open_kept[-1][1]
-                token = match_token(_TOKEN_RE)
+                token = next(matches, None)
                 if token is not None:
-                    text, closing, tag, attrs_text, slash = token
+                    match = token
+                    text, closing, tag, attrs_text, slash, leaf = token.groups()
                     misc = None
                 else:
+                    _commit(scanner, match)
+                    match = None
                     text, closing, tag, attrs_text, slash, misc = _read_token(
                         scanner, helper, len(open_kept), plan.text_kept
                     )
+                    leaf = None
+                    matches = scanner.matches(_TOKEN_RE)
                 if text:
+                    texts_in += 1
                     if plan.text_kept:
-                        if stats is not None:
-                            stats.texts_in += 1
-                            stats.texts_out += 1
+                        texts_out += 1
                         yield Characters(text)
-                    elif stats is not None:
-                        stats.texts_in += 1
             else:
                 text, closing, tag, attrs_text, slash, misc = _read_token(
                     scanner, helper, 0, False, seen_root=seen_root
                 )
+                leaf = None
             if closing is not None:
                 if not open_kept:
                     raise scanner.error(f"closing tag </{closing}> with no open element")
                 expected = open_kept.pop()[0]
                 if expected != closing:
+                    _commit(scanner, match)
                     raise scanner.error(
                         f"mismatched closing tag </{closing}>, expected </{expected}>"
                     )
+                if open_kept:
+                    plan = open_kept[-1][1]
+                else:  # the root's end tag: the rest is read the hard way
+                    _commit(scanner, match)
+                    match = None
                 yield EndElement(closing)
             elif tag is not None:
                 if local:
-                    plan = table.by_tag.get(tag)
+                    child = by_tag.get(tag)
                 else:
-                    parent = open_kept[-1][1].name if open_kept else None
-                    plan = table.by_parent.get((parent, tag))
-                if plan is None:
+                    child = by_parent.get((plan.name if open_kept else None, tag))
+                if child is None:
                     if attrs_text:
+                        _commit_start_tag(scanner, match, leaf)
                         self._validate_skipped_attributes(scanner, tag, attrs_text)
                     raise ValidationError(f"undeclared element <{tag}>")
                 seen_root = True
-                if plan.keep:
+                elements_in += 1
+                tags_in.add(tag)
+                if child.keep:
                     if attrs_text:
+                        _commit_start_tag(scanner, match, leaf)
                         attributes, count_in = self._collect_attributes(
-                            scanner, tag, attrs_text, plan.prunable
+                            scanner, tag, attrs_text, child.prunable
                         )
+                        attributes_in += count_in
+                        attributes_out += len(attributes)
                     else:
-                        attributes, count_in = {}, 0
-                    if stats is not None:
-                        stats.elements_in += 1
-                        stats.attributes_in += count_in
-                        stats.distinct_tags_in.add(tag)
-                        stats.elements_out += 1
-                        stats.attributes_out += len(attributes)
-                        stats.distinct_tags_out.add(tag)
+                        attributes = {}
+                    elements_out += 1
+                    tags_out.add(tag)
                     yield StartElement(tag, attributes)
-                    if slash:
+                    if leaf is not None:  # the whole element at once
+                        if len(open_kept) + 1 > max_depth:
+                            guard.check_depth(len(open_kept) + 1)  # type: ignore[union-attr]
+                        if leaf:
+                            texts_in += 1
+                            if child.text_kept:
+                                texts_out += 1
+                                yield Characters(leaf)
+                        yield EndElement(tag)
+                    elif slash:
                         yield EndElement(tag)
                     else:
-                        open_kept.append((tag, plan))
+                        open_kept.append((tag, child))
+                        plan = child
                         if len(open_kept) > max_depth:
                             guard.check_depth(len(open_kept))  # type: ignore[union-attr]
                 else:
-                    count = (
-                        self._validate_skipped_attributes(scanner, tag, attrs_text)
-                        if attrs_text
-                        else 0
-                    )
-                    if stats is not None:
-                        stats.elements_in += 1
-                        stats.attributes_in += count
-                        stats.distinct_tags_in.add(tag)
-                    if not slash:
-                        self._skip_subtree(
-                            scanner, tag, stats, len(open_kept), tick, max_depth
+                    if attrs_text:
+                        if attrs_text.count("=") == 1 and "&" not in attrs_text:
+                            attributes_in += 1  # one attribute, nothing to check
+                        else:
+                            _commit_start_tag(scanner, match, leaf)
+                            attributes_in += self._validate_skipped_attributes(
+                                scanner, tag, attrs_text
+                            )
+                    if leaf is not None:  # the whole element, skipped at once
+                        if len(open_kept) + 1 > max_depth:
+                            guard.check_depth(len(open_kept) + 1)  # type: ignore[union-attr]
+                        if leaf:
+                            texts_in += 1
+                    elif not slash:
+                        _commit(scanner, match)
+                        match = None
+                        skipped_elements, skipped_attributes, skipped_texts = (
+                            self._skip_subtree(
+                                scanner, tag, tags_in, len(open_kept), tick, max_depth
+                            )
                         )
+                        elements_in += skipped_elements
+                        attributes_in += skipped_attributes
+                        texts_in += skipped_texts
+                        matches = scanner.matches(_TOKEN_RE)
             elif misc is not None:
                 if type(misc) is Characters:  # a CDATA section
-                    if stats is not None:
-                        stats.texts_in += 1
+                    texts_in += 1
                     if plan.text_kept:
-                        if stats is not None:
-                            stats.texts_out += 1
+                        texts_out += 1
                         yield misc
                 else:
                     yield misc
@@ -607,6 +736,16 @@ class FastPruner:
                 break
         if not seen_root:
             raise scanner.error("document has no root element")
+        stats = self.stats
+        if stats is not None:
+            stats.elements_in += elements_in
+            stats.elements_out += elements_out
+            stats.attributes_in += attributes_in
+            stats.attributes_out += attributes_out
+            stats.texts_in += texts_in
+            stats.texts_out += texts_out
+            stats.distinct_tags_in |= tags_in
+            stats.distinct_tags_out |= tags_out
         yield EndDocument()
 
     # -- attribute helpers -------------------------------------------------
@@ -679,59 +818,74 @@ class FastPruner:
         self,
         scanner: Scanner,
         first_tag: str,
-        stats: PruneStats | None,
+        tags: set[str],
         base_depth: int,
         tick: Callable[[], None] | None,
         max_depth: int,
-    ) -> None:
+    ) -> tuple[int, int, int]:
         """Bulk-skip the content of a discarded element up to and
         including its end tag, maintaining only a tag stack for
-        well-formedness and the stats counters the event path would have
-        gathered.  ``base_depth`` is the kept-element nesting above this
-        subtree, so the depth limit sees the document's true depth even
-        inside discarded regions; ``tick`` and ``max_depth`` come from
-        :func:`_governor`."""
-        match_token = scanner.match_token
+        well-formedness and the counters the event path would have
+        gathered: returns ``(elements, attributes, texts)`` and adds the
+        tags it saw to ``tags``.  The scanner position is committed on
+        entry and on return.  ``base_depth`` is the kept-element nesting
+        above this subtree, so the depth limit sees the document's true
+        depth even inside discarded regions; ``tick`` and ``max_depth``
+        come from :func:`_governor`."""
         open_tags = [first_tag]
         if base_depth + 1 > max_depth:
             self.guard.check_depth(base_depth + 1)  # type: ignore[union-attr]
+        elements = attributes = texts = 0
+        matches = scanner.matches(_SKIP_TOKEN_RE)
+        match: re.Match[str] | None = None
         while True:
             if tick is not None:
                 tick()
-            token = match_token(_TOKEN_RE)
+            token = next(matches, None)
             if token is not None:
-                text, closing, tag, attrs_text, slash = token
+                match = token
+                text, closing, tag, attrs_text, slash, leaf = token.groups()
                 misc = None
             else:
+                _commit(scanner, match)
+                match = None
                 text, closing, tag, attrs_text, slash, misc = _read_token(
                     scanner, None, base_depth + len(open_tags), False, skipping=True
                 )
-            if text and stats is not None:
-                stats.texts_in += 1
+                leaf = None
+                matches = scanner.matches(_SKIP_TOKEN_RE)
+            if text:
+                texts += 1
             if closing is not None:
                 expected = open_tags.pop()
                 if expected != closing:
+                    _commit(scanner, match)
                     raise scanner.error(
                         f"mismatched closing tag </{closing}>, expected </{expected}>"
                     )
                 if not open_tags:
-                    return
+                    _commit(scanner, match)
+                    return elements, attributes, texts
             elif tag is not None:
-                count = (
-                    self._validate_skipped_attributes(scanner, tag, attrs_text)
-                    if attrs_text
-                    else 0
-                )
-                if stats is not None:
-                    stats.elements_in += 1
-                    stats.attributes_in += count
-                    stats.distinct_tags_in.add(tag)
-                if not slash:
+                elements += 1
+                tags.add(tag)
+                if attrs_text:
+                    if attrs_text.count("=") == 1 and "&" not in attrs_text:
+                        attributes += 1  # one attribute, nothing to check
+                    else:
+                        _commit_start_tag(scanner, match, leaf)
+                        attributes += self._validate_skipped_attributes(scanner, tag, attrs_text)
+                if leaf is not None:  # the whole element at once
+                    if base_depth + len(open_tags) + 1 > max_depth:
+                        self.guard.check_depth(base_depth + len(open_tags) + 1)  # type: ignore[union-attr]
+                    if leaf:
+                        texts += 1
+                elif not slash:
                     open_tags.append(tag)
                     if base_depth + len(open_tags) > max_depth:
                         self.guard.check_depth(base_depth + len(open_tags))  # type: ignore[union-attr]
             elif misc is not None:
-                if misc is _SKIPPED_CDATA and stats is not None:
-                    stats.texts_in += 1
+                if misc is _SKIPPED_CDATA:
+                    texts += 1
             else:
                 raise scanner.error(f"unclosed element <{open_tags[-1]}>")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import IO, TYPE_CHECKING, Union
+from typing import IO, TYPE_CHECKING, Iterator, Union
 
 from repro.errors import XMLSyntaxError
 
@@ -53,9 +53,9 @@ class Scanner:
     * :meth:`read_until` — consume up to (not including) a delimiter,
       loading more input as needed;
     * :meth:`read_name`, :meth:`skip_whitespace` — token helpers;
-    * :meth:`match_token` — consume one whole token matched by a
-      compiled regex against the buffered input (the fused pruner's
-      tokenizer).
+    * :meth:`matches` / :meth:`consume_to` — back-to-back matches of a
+      compiled regex over the buffered input, and the commit of the last
+      one used (the fused pruner's tokenizer).
 
     Line and column numbers are computed only when an error is built:
     consuming input never counts newlines.  The one eager count happens
@@ -65,7 +65,7 @@ class Scanner:
 
     __slots__ = (
         "_source", "_buffer", "_position", "_eof", "_chunk_size", "_consumed",
-        "_dropped_lines", "_dropped_line_start", "_guard", "_max_token",
+        "_dropped_lines", "_dropped_line_start", "_guard", "_max_token", "_ahead",
     )
 
     def __init__(
@@ -96,6 +96,10 @@ class Scanner:
         # past the last of them: all error() needs from the dropped input.
         self._dropped_lines = 0
         self._dropped_line_start = 0
+        # The leading delimiter's search kept by the last multi-delimiter
+        # read, as ``(delimiters, index)`` with -1 for a miss; dropped when
+        # the buffer changes (see _nearest).
+        self._ahead: tuple[str, int] | None = None
 
     @property
     def guard(self) -> "LimitGuard | None":
@@ -163,6 +167,7 @@ class Scanner:
             self._drop_consumed()
             self._buffer = ""
             self._position = 0
+            self._ahead = None
         while len(self._buffer) - self._position < needed:
             chunk = self._source.read(self._chunk_size)
             if not chunk:
@@ -174,6 +179,7 @@ class Scanner:
                 # to stop).
                 self._guard.add_input(len(chunk))
             self._buffer += chunk
+            self._ahead = None
 
     def _compact(self) -> None:
         """Drop already-consumed characters so the buffer stays small.
@@ -183,6 +189,7 @@ class Scanner:
             self._drop_consumed()
             self._buffer = self._buffer[self._position :]
             self._position = 0
+            self._ahead = None
 
     # -- single character protocol ----------------------------------------
 
@@ -216,23 +223,29 @@ class Scanner:
 
     # -- multi character protocol ------------------------------------------
 
-    def match_token(self, pattern: "re.Pattern[str]") -> "tuple[str | None, ...] | None":
-        """Match ``pattern`` at the current position against the buffered
-        input, consume the match and return its groups; ``None`` (nothing
-        consumed) on a miss.  No input is loaded, so a token that
-        straddles the end of the buffer is a miss, as is a match longer
-        than the guard's ``max_token_bytes``: the caller falls back to
-        the per-construct readers, which refill and enforce the limit
-        themselves.  Only the groups are returned, never the match, which
-        would keep the whole buffer alive after compaction drops it."""
+    def matches(self, pattern: "re.Pattern[str]") -> "Iterator[re.Match[str]]":
+        """Back-to-back matches of ``pattern`` over the buffered input from
+        the current position, as a C-level iterator: each match starts
+        where the previous one ended, and the iterator stops at the first
+        miss.  Nothing is consumed: the caller commits the end of the last
+        match it used with :meth:`consume_to` before it reads on by any
+        other means, and builds a new iterator after that.
+
+        No input is loaded, so a token that straddles the end of the
+        buffer is a miss.  The matches are confined to the guard's
+        ``max_token_bytes`` characters from the position, so none is
+        longer than the limit; a token across that edge is a miss too.  A
+        caller falls back to the per-construct readers, which refill and
+        enforce the limit themselves."""
         position = self._position
-        match = pattern.match(self._buffer, position)
-        if match is not None:
-            end = match.end()
-            if end - position <= self._max_token:
-                self._position = end
-                return match.groups()
-        return None
+        end = min(len(self._buffer), position + self._max_token)
+        return iter(pattern.scanner(self._buffer, position, end).match, None)
+
+    def consume_to(self, index: int) -> None:
+        """Consume the buffered input up to buffer index ``index``: the end
+        of the last match taken from :meth:`matches`, or a point inside
+        it."""
+        self._position = index
 
     def startswith(self, prefix: str) -> bool:
         self._fill(len(prefix))
@@ -298,17 +311,35 @@ class Scanner:
         """Buffer index of the nearest of the single-character
         ``delimiters`` at or after the position, or -1.  Each search
         stops at the nearest hit so far, so a delimiter that is rare in
-        the input does not send a scan to the end of the buffer."""
+        the input does not send a scan to the end of the buffer.
+
+        When a later delimiter ends a read before the leading one (an
+        entity reference before the next tag), the leading delimiter's
+        search is kept for the next read: a hit while it still lies ahead
+        of the position, a miss until the buffer is refilled.  Otherwise a
+        run of references would re-scan the rest of the buffer once each."""
         buffer = self._buffer
         position = self._position
-        best = -1
+        if len(delimiters) < 2:  # a read ends at its one delimiter, if any
+            return buffer.find(delimiters, position) if delimiters else -1
+        best = lead = None
         for delimiter in delimiters:
-            if best == -1:
+            if best is None:  # the leading delimiter
+                ahead = self._ahead
+                if ahead is not None:
+                    self._ahead = None
+                    if ahead[0] == delimiters and (ahead[1] >= position or ahead[1] == -1):
+                        best = lead = ahead[1]
+                        continue
+                best = lead = buffer.find(delimiter, position)
+            elif best == -1:
                 best = buffer.find(delimiter, position)
             else:
                 index = buffer.find(delimiter, position, best)
                 if index != -1:
                     best = index
+        if best != lead:
+            self._ahead = (delimiters, lead)
         return best
 
     def read_until_any(self, delimiters: str) -> str:
@@ -392,11 +423,18 @@ class Scanner:
         """Consume up to and including the next *unquoted* ``>``,
         returning the text before it.  ``>`` inside a quoted attribute
         value does not terminate the tag.  Bulk operation — the fused
-        pruner reads whole tags this way instead of char-by-char."""
+        pruner reads whole tags this way instead of char-by-char.
+
+        After a quoted value the delimiter searches are not all made
+        again: a hit that still lies ahead of the position is kept, and so
+        is a miss while its bound holds (the ``>`` that bounded it, or the
+        end of the buffer until a refill).  A tag with many quoted values
+        is then scanned once, not once per value."""
         pieces: list[str] = []
         quote = ""
         total = 0
         guard = self._guard
+        searched = False  # gt, dq and sq hold searches made in this buffer
         while True:
             buffer = self._buffer
             position = self._position
@@ -412,14 +450,24 @@ class Scanner:
                     quote = ""
                     continue
             else:
-                gt = buffer.find(">", position)
-                if gt != -1:
-                    # Quote searches are bounded by the tag end.
-                    dq = buffer.find('"', position, gt)
-                    sq = buffer.find("'", position, gt)
+                if not searched:
+                    gt = buffer.find(">", position)
+                    if gt != -1:
+                        # Quote searches are bounded by the tag end.
+                        dq = buffer.find('"', position, gt)
+                        sq = buffer.find("'", position, gt)
+                    else:
+                        dq = buffer.find('"', position)
+                        sq = buffer.find("'", position)
+                    searched = True
                 else:
-                    dq = buffer.find('"', position)
-                    sq = buffer.find("'", position)
+                    if -1 < gt < position:  # the '>' was inside the value
+                        gt = buffer.find(">", position)
+                        dq = sq = -2  # their misses were bounded by the old '>'
+                    if dq < position and dq != -1:
+                        dq = buffer.find('"', position, gt) if gt != -1 else buffer.find('"', position)
+                    if sq < position and sq != -1:
+                        sq = buffer.find("'", position, gt) if gt != -1 else buffer.find("'", position)
                 nearest_quote = dq if sq == -1 else sq if dq == -1 else min(dq, sq)
                 if nearest_quote != -1:
                     text = buffer[position : nearest_quote + 1]
@@ -452,6 +500,7 @@ class Scanner:
             before = self._consumed + len(self._buffer)
             self._fill(self._chunk_size)
             self._compact()
+            searched = False
             if self._consumed + len(self._buffer) == before and self._eof:
                 where = f" in {context}" if context else ""
                 raise self.error(f"unexpected end of input looking for '>'{where}")

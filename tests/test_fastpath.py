@@ -16,8 +16,10 @@ from repro.dtd.singletype import single_type_grammar
 from repro.errors import LimitExceeded, ValidationError, XMLSyntaxError
 from repro.limits import Limits
 from repro.projection.fastpath import (
+    _NAME,
     _NAME_CHAR,
     _NAME_START,
+    _SKIP_TOKEN_RE,
     _TOKEN_RE,
     FastPruner,
     _read_token,
@@ -368,9 +370,48 @@ _TAGS = st.one_of(
 )
 
 
+#: The contract test's input: text, a tag body, text, and what follows —
+#: the tag's own end tag (with an optional name-character suffix that
+#: makes it another element's) or any other tag body.
+_CONTRACT_INPUTS = (
+    st.text(alphabet="ab \n>'\"", max_size=6),
+    _TAGS,
+    st.text(alphabet="ab \n>&'", max_size=4),
+    st.one_of(st.tuples(st.sampled_from(["", "a", "\xa0"]), _WS), _TAGS),
+)
+
+
+def _assert_token_contract(pattern, text, tag, inner, after):
+    """A match of ``pattern`` consumes exactly what the reader reads for
+    the same token, or two for a text-only leaf (its start tag, then its
+    text and end tag), with the same names and texts; the skip regex
+    captures only whether each text is non-empty."""
+    if isinstance(after, tuple):
+        name = re.match(_NAME, tag)
+        suffix, space = after
+        after = f"/{name.group() if name else 'a'}{suffix}{space}"
+    xml = f"{text}<{tag}>{inner}<{after}>tail<"
+    match = pattern.match(xml)
+    if match is None:
+        return  # a miss: the reader alone decides
+    text, closing, tag, attributes, slash, leaf = match.groups()
+    for skipping in (True,) if pattern is _SKIP_TOKEN_RE else (False, True):
+        scanner = Scanner(xml)
+        token = _read_token(scanner, None, 1, not skipping, skipping=skipping)
+        assert token[0] == (bool(text) if skipping else text)
+        assert token[1:4] == (closing, tag, attributes)
+        assert (token[4] or None) == slash
+        assert token[5] is None
+        if leaf is not None:
+            token = _read_token(scanner, None, 2, not skipping, skipping=skipping)
+            assert token[0] == (bool(leaf) if skipping else leaf)
+            assert token[1:] == (tag, None, None, None, None)
+        assert scanner.chars_consumed == match.end()
+
+
 class TestTokenRegexContract:
-    """The token regex accepts a subset of what the per-construct reader
-    accepts, and splits it into the same groups."""
+    """The token regexes accept a subset of what the per-construct reader
+    accepts, and split it into the same groups."""
 
     def test_name_classes_are_the_scanner_alphabet(self):
         start, char = re.compile(_NAME_START), re.compile(_NAME_CHAR)
@@ -379,19 +420,17 @@ class TestTokenRegexContract:
             assert bool(char.fullmatch(c)) == is_name_char(c), repr(c)
 
     @settings(max_examples=500, deadline=None)
-    @given(st.text(alphabet="ab \n>'\"", max_size=6), _TAGS)
-    def test_every_match_is_what_the_reader_reads(self, text, tag):
-        xml = f"{text}<{tag}>tail<"
-        match = _TOKEN_RE.match(xml)
-        if match is None:
-            return  # a miss: the reader alone decides
-        for skipping in (False, True):
-            scanner = Scanner(xml)
-            token = _read_token(scanner, None, 1, not skipping, skipping=skipping)
-            assert scanner.chars_consumed == match.end()
-            assert token[1:5] == match.groups()[1:]
-            assert token[0] == (bool(text) if skipping else text)
-            assert token[5] is None
+    @given(*_CONTRACT_INPUTS)
+    def test_every_match_is_what_the_reader_reads(self, text, tag, inner, after):
+        for pattern in (_TOKEN_RE, _SKIP_TOKEN_RE):
+            _assert_token_contract(pattern, text, tag, inner, after)
+
+    @pytest.mark.slow
+    @settings(max_examples=20_000, deadline=None)
+    @given(*_CONTRACT_INPUTS)
+    def test_every_match_is_what_the_reader_reads_at_scale(self, text, tag, inner, after):
+        for pattern in (_TOKEN_RE, _SKIP_TOKEN_RE):
+            _assert_token_contract(pattern, text, tag, inner, after)
 
 
 class TestTokenizerBoundaries:
@@ -596,6 +635,16 @@ MALFORMED = {
         + "<book><title>ok</title></author></book></bib>",
         "mismatched closing tag </author>, expected </book> (line 22, column 33)",
     ),
+    # A text-only leaf is one token to the fused scan; its start tag's
+    # errors are still reported where that tag ends.
+    "duplicate_attribute_on_leaf": (
+        '<bib>\n<book><title>t</title><author id="a" id="b">x</author></book></bib>',
+        "duplicate attribute 'id' on <author> (line 2, column 45)",
+    ),
+    "unknown_entity_on_leaf": (
+        '<bib>\n<book><title>t</title><author id="a&nope;">x</author></book></bib>',
+        "unknown entity &nope; (line 2, column 44)",
+    ),
 }
 #: Unterminated constructs report where the last read stopped, which
 #: depends on the chunk size.
@@ -605,21 +654,24 @@ MALFORMED_AT_CHUNK_7 = {
     "unterminated_pi":
         "unexpected end of input looking for '?>' in processing instruction (line 1, column 28)",
 }
-#: The skip loop quotes a malformed closing tag with its '/' included.
+#: The skip loop quotes a malformed closing tag with its '/' included (in
+#: both regions that discard the <author> it closes).
 MALFORMED_WHEN_SKIPPED = {
     "long_malformed_close": "malformed closing tag </authorxxxxxxxxxxxxx> (line 2, column 44)",
 }
 
 
 class TestMalformedInputs:
-    @pytest.mark.parametrize("region", ["kept", "skipped"])
+    # Each region reads the <author> leaves another way: kept whole, dropped
+    # whole under a kept <book>, or inside a bulk-skipped <book>.
+    @pytest.mark.parametrize("region", ["kept", "title", "skipped"])
     @pytest.mark.parametrize("chunk_size", [7, 1 << 16])
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_error_message_line_and_column(self, book_grammar, name, chunk_size, region):
         xml, message = MALFORMED[name]
         if chunk_size == 7:
             message = MALFORMED_AT_CHUNK_7.get(name, message)
-        if region == "skipped":
+        if region != "kept":
             message = MALFORMED_WHEN_SKIPPED.get(name, message)
         projector = _projectors(book_grammar)[region]
         for drive in (

@@ -232,6 +232,38 @@ def test_fuzz_no_partial_output_file(seed, tmp_path):
         assert out.exists()
 
 
+#: Inputs that turn the fused scan's fallback reader quadratic unless it
+#: keeps its searches instead of re-searching the rest of the buffer after
+#: every quoted value or entity reference: a start tag with 200k attributes
+#: and no '>', and a text node with 200k references, kept and skipped.
+#: Linear, each takes well under a second; quadratic, several.
+LINEAR_SECONDS = 2.0
+REFERENCES = "&amp;and_x" * 200_000
+
+
+def _linear_case(name: str) -> str:
+    if name == "attribute_flood_without_gt":
+        return "<bib><book" + "".join(f' a{i}="v"' for i in range(200_000))
+    if name == "references_in_kept_text":
+        return f"<bib><book><title>{REFERENCES}</title></book></bib>"
+    return f"<bib><book><title>t</title><author>{REFERENCES}</author></book></bib>"
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["attribute_flood_without_gt", "references_in_kept_text", "references_in_skipped_text"],
+)
+def test_fallback_reader_is_linear(name):
+    doc = _linear_case(name)
+    started = time.monotonic()
+    try:
+        prune(doc, GRAMMAR, PROJECTOR)
+    except ReproError:
+        pass
+    elapsed = time.monotonic() - started
+    assert elapsed < LINEAR_SECONDS, f"{name}: took {elapsed:.1f}s"
+
+
 def test_generator_is_deterministic():
     assert hostile_document(7) == hostile_document(7)
 

@@ -29,6 +29,7 @@ from repro.limits import (
     LimitGuard,
     resolve_limits,
 )
+from repro.projection.fastpath import FastPruner
 
 DTD = """
 <!ELEMENT bib (book*)>
@@ -113,6 +114,32 @@ class TestEnforcement:
         with pytest.raises(LimitExceeded):
             prune(hostile, grammar, frozenset({"bib", "title", "book"}),
                   limits=Limits(max_depth=50))
+
+    # A document whose only element one level past the limit is a
+    # text-only leaf, which the fused scan reads as one token: kept whole,
+    # dropped whole under a kept <book>, or inside a bulk-skipped <book>.
+    # The chunk sizes put a chunk edge at every offset of the document.
+    LEAF_PAST_THE_LIMIT = '<bib>\n<book year="1"><title>leaf</title></book></bib>'
+
+    @pytest.mark.parametrize(
+        "chunk_size", [*range(1, len(LEAF_PAST_THE_LIMIT) + 2), 1 << 16]
+    )
+    @pytest.mark.parametrize(
+        "kept",
+        [("bib",), ("bib", "book"), ("bib", "book", "title", "title#text")],
+        ids=["skipped", "dropped", "kept"],
+    )
+    def test_depth_limit_counts_a_leaf(self, bib, kept, chunk_size):
+        grammar, _ = bib
+        xml = self.LEAF_PAST_THE_LIMIT
+        for drive in (
+            lambda pruner: pruner.write(io.StringIO(xml), io.StringIO(), chunk_size),
+            lambda pruner: list(pruner.events(io.StringIO(xml), chunk_size)),
+        ):
+            pruner = FastPruner(grammar, kept, guard=Limits(max_depth=2).guard())
+            with pytest.raises(LimitExceeded) as info:
+                drive(pruner)
+            assert str(info.value) == "depth limit exceeded: 3 > 2"
 
     def test_input_limit_trips(self, bib):
         grammar, projector = bib

@@ -411,6 +411,32 @@ class TestCrashRetry:
         crash_errors = [e for e in batch.errors if e.kind == parallel.WORKER_CRASH]
         assert {e.index for e in crash_errors} == {2}
 
+    def test_only_the_crashing_item_is_blamed_in_a_long_batch(
+        self, book_grammar, monkeypatch, tmp_path
+    ):
+        import repro.parallel as parallel
+        import repro.pool as pool
+
+        paths = []
+        for i in range(40):
+            path = tmp_path / f"doc{i:02d}.xml"
+            path.write_text(_doc(i), encoding="utf-8")
+            paths.append(str(path))
+        real = pool._execute_item
+
+        def always_crash(pruner, options, source, out_path, spec=None):
+            if "doc07" in source:
+                os._exit(13)
+            return real(pruner, options, source, out_path, spec)
+
+        monkeypatch.setattr(pool, "_execute_item", always_crash)
+        batch = prune_many(paths, book_grammar, QUERY, jobs=2, retry_crashes=True)
+        assert [(e.index, e.kind) for e in batch.errors] == [(7, parallel.WORKER_CRASH)]
+        assert all(result is not None for i, result in enumerate(batch.results) if i != 7)
+        # The first jobs=2 crashed items of a round are the only suspects,
+        # each retried alone: a few rounds, however long the batch.
+        assert batch.respawns <= 6
+
 
 @pytest.mark.skipif(not HAS_FORK, reason="fingerprint skew requires fork")
 class TestFingerprintMismatch:
