@@ -660,7 +660,7 @@ def _shared_parents():
 
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="worker processes for batch mode (0 = all cores)")
+                      help="worker processes for batch mode (0 = every usable CPU)")
 
     ledger = argparse.ArgumentParser(add_help=False)
     ledger.add_argument("--ledger", metavar="PATH",
@@ -754,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="port to bind (default 0 = pick a free port; the "
                         "bound port is printed on startup)")
     p.add_argument("--jobs", type=int, default=2, metavar="N",
-                   help="resident worker processes (0 = all cores)")
+                   help="resident worker processes (0 = every usable CPU)")
     p.add_argument("--queue-limit", type=int, default=64, metavar="N",
                    help="server-wide admitted-request bound; excess requests "
                         "get a structured 429-style refusal")

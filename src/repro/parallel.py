@@ -10,11 +10,17 @@ a corpus across a process pool:
   :class:`~repro.core.cache.ProjectorCache` (queries are accepted directly,
   or a pre-inferred projector is passed through);
 * the pool is the one :class:`~repro.pool.ResidentPool` the projection
-  service also runs on: the parent pins the compiled
+  service also runs on, and it outlives the call: the first ``jobs > 1``
+  call spawns it and later calls reuse its warm workers and pins
+  (:func:`repro.pool.borrow` decides when it no longer fits and is
+  replaced); the parent pins the compiled
   :class:`~repro.projection.fastpath.FastPruner` before the workers
   spawn, so they inherit it by fork, and each worker re-derives the
   grammar fingerprint so a grammar that does not survive the process
   boundary intact is re-run in the parent instead of pruned wrong;
+* an output path that is one of the batch's sources is refused in the
+  parent before anything is written, and output names are distinct by
+  construction (:func:`_output_paths`);
 * every document runs through the fused fast path (or whatever
   :class:`~repro.api.PruneOptions` selects), with results returned in
   **input order** regardless of completion order;
@@ -56,6 +62,7 @@ from repro import obs, pool
 from repro.api import DEFAULT_OPTIONS, PruneOptions, PruneResult
 from repro.core.cache import ProjectorCache, resolve_projector, resolve_spec_projector
 from repro.dtd.grammar import Grammar
+from repro.errors import ReproError
 from repro.extract.api import DEFAULT_EXTRACT_OPTIONS, ExtractOptions, ExtractResult
 from repro.extract.spec import ExtractSpec
 from repro.extract.stats import ExtractStats
@@ -63,14 +70,13 @@ from repro.limits import Limits, resolve_limits
 from repro.pool import (
     FINGERPRINT_MISMATCH,
     WORKER_CRASH,
-    ResidentPool,
     _resolve_jobs,
     absorb,
     rerun_in_parent,
 )
 from repro.projection.fastpath import FastPruner
 from repro.projection.stats import PruneStats
-from repro.run import is_markup, resolve_options
+from repro.run import file_identity, is_markup, resolve_options
 
 __all__ = [
     "BatchError",
@@ -207,29 +213,55 @@ def expand_sources(
     return expanded
 
 
+def _output_name(index: int, source: str, suffix: str | None) -> str:
+    if is_markup(source):
+        return f"doc{index:05d}{suffix or '.xml'}"
+    if suffix is not None:
+        stem = os.path.splitext(os.path.basename(source))[0]
+        return f"{stem}{suffix}" if stem else f"doc{index:05d}{suffix}"
+    return os.path.basename(source) or f"doc{index:05d}.xml"
+
+
 def _output_paths(
     items: list[str], out_dir: str, suffix: str | None = None
 ) -> list[str]:
-    """Deterministic per-item output paths under ``out_dir``: path sources
-    keep their basename (index-prefixed on collision), markup sources get
+    """Deterministic, distinct per-item output paths under ``out_dir``:
+    path sources keep their basename, markup sources get
     ``doc<index>.xml``.  With ``suffix`` (extract batches: ``".jsonl"`` /
     ``".csv"``) path basenames swap their extension for it instead — the
-    output is records, not markup."""
+    output is records, not markup.  The first item with a name keeps it;
+    a later one is index-prefixed until its name is one no item has, so
+    a prefixed name never lands on another item's."""
+    names = [_output_name(index, source, suffix) for index, source in enumerate(items)]
+    taken = set(names)
+    first: set[str] = set()
     paths: list[str] = []
-    used: set[str] = set()
-    for index, source in enumerate(items):
-        if is_markup(source):
-            name = f"doc{index:05d}{suffix or '.xml'}"
-        elif suffix is not None:
-            stem = os.path.splitext(os.path.basename(source))[0]
-            name = f"{stem}{suffix}" if stem else f"doc{index:05d}{suffix}"
-        else:
-            name = os.path.basename(source) or f"doc{index:05d}.xml"
-        if name in used:
-            name = f"{index:05d}_{name}"
-        used.add(name)
+    for index, name in enumerate(names):
+        if name in first:
+            while name in taken:
+                name = f"{index:05d}_{name}"
+            taken.add(name)
+        first.add(name)
         paths.append(os.path.join(out_dir, name))
     return paths
+
+
+def _refuse_overwriting_sources(items: list[str], out_paths: list[str]) -> None:
+    """Refuse a batch whose output path is one of its own sources (also
+    through a link): writing it would destroy that input, or hand another
+    item this item's output as its input."""
+    sources: dict[tuple[int, int], int] = {}
+    for index, source in enumerate(items):
+        identity = None if is_markup(source) else file_identity(source)
+        if identity is not None:
+            sources.setdefault(identity, index)
+    for index, path in enumerate(out_paths):
+        identity = file_identity(path)
+        if identity in sources:
+            raise ReproError(
+                f"output {path!r} of item {index} is the source of item "
+                f"{sources[identity]}; refusing to overwrite an input"
+            )
 
 
 def _label(source: str) -> str:
@@ -284,9 +316,11 @@ def prune_many(
     resolved once in the parent — pass queries (string or list, mixed
     XPath/XQuery) or an already-inferred projector.  ``jobs`` selects the
     worker-pool width: ``1`` (default) runs serially in the parent,
-    ``None``/``0`` uses every core.  With ``out_dir`` each item is written
-    to a file there (see :func:`_output_paths` for naming); without it the
-    pruned markup is collected per item.
+    ``None``/``0`` uses every CPU this process may run on; wider batches
+    run on the process's resident pool (:func:`repro.pool.borrow`).  With
+    ``out_dir`` each item is written to a file there (see
+    :func:`_output_paths` for naming); without it the pruned markup is
+    collected per item.
 
     ``limits`` / ``fallback`` apply per item exactly as in
     :func:`repro.prune`.  ``timeout`` (seconds) bounds each item's wall
@@ -300,7 +334,8 @@ def prune_many(
     Returns a :class:`BatchResult`; per-item failures are reported there,
     not raised.  Parent-side configuration errors (a projector that does
     not cover the grammar root, an unknown query language, a bad
-    ``jobs``) still raise immediately.
+    ``jobs``, an output path that is one of the sources) still raise
+    immediately, before any file is written.
     """
     jobs = _check_batch(jobs, timeout)
     opts = _per_item_deadline(
@@ -396,9 +431,11 @@ def _run_batch(
     out_paths: list[str | None] = [None] * len(items)
     if out_dir is not None:
         out_dir = os.fspath(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
         suffix = None if spec is None else _EXTRACT_SUFFIXES[opts.format]  # type: ignore[union-attr]
-        out_paths = list(_output_paths(items, out_dir, suffix))
+        named = _output_paths(items, out_dir, suffix)
+        _refuse_overwriting_sources(items, named)
+        os.makedirs(out_dir, exist_ok=True)
+        out_paths = list(named)
 
     batch = BatchResult(results=[None] * len(items), stats=stats, jobs=jobs)
     started = time.perf_counter()
@@ -450,11 +487,12 @@ def _attempt(
 
 
 class _PoolRounds:
-    """One batch on the shared worker pool, in rounds: a round ends early
-    when stuck workers are killed (per-item ``timeout``) or the pool
+    """One batch on the borrowed resident pool, in rounds: a round ends
+    early when stuck workers are killed (per-item ``timeout``) or the pool
     breaks with ``retry_crashes`` set, and the surviving items go to the
     respawned pool.  A crash suspect's retry is a round of its own (see
-    :meth:`_resolve_crashed`)."""
+    :meth:`_resolve_crashed`).  ``BatchResult.respawns`` counts this
+    call's respawns only."""
 
     def __init__(
         self,
@@ -474,20 +512,22 @@ class _PoolRounds:
         self.spec = spec
         self.items = items
         self.out_paths = out_paths
+        self.jobs = jobs
         self.timeout = timeout
         self.retry_crashes = retry_crashes
-        self.pool = ResidentPool(min(jobs, len(items)), tracing=obs.enabled())
-        self.key = self.pool.pin(
-            pruner.grammar, pruner.projector, pruner.table.prune_attributes
-        )
         self.workers: set[int] = set()
         self.crash_retried: set[int] = set()
         #: Crash suspects waiting for their retry, each in a round alone.
         self.suspects: list[int] = []
 
     def run(self) -> None:
-        todo = list(range(len(self.items)))
-        try:
+        with pool.borrow(self.jobs) as self.pool:
+            self.key = self.pool.pin(
+                self.pruner.grammar, self.pruner.projector,
+                self.pruner.table.prune_attributes,
+            )
+            respawns = self.pool.respawns
+            todo = list(range(len(self.items)))
             while todo or self.suspects:
                 generation = self.pool.generation
                 if self.suspects:
@@ -498,9 +538,10 @@ class _PoolRounds:
                 if broken and (todo or self.suspects):
                     # No-op when the round already killed its workers.
                     self.pool.respawn(generation)
-        finally:
-            self.pool.shutdown()
-        self.batch.respawns = self.pool.respawns
+            self.batch.respawns = self.pool.respawns - respawns
+            if broken:
+                # Detach the broken pool: the next call spawns fresh workers.
+                self.pool.respawn(generation)
         if obs.enabled() and self.workers:
             obs.count("parallel.workers_used", len(self.workers))
             if self.batch.respawns:

@@ -4,8 +4,25 @@ The journal version of the paper deploys projection as one projector
 over many documents: the static phase runs once in the parent and every
 document is then pruned independently.  :class:`ResidentPool` is the
 process pool of that deployment, shared by :func:`repro.prune_many` /
-:func:`repro.extract_many` (one pool per batch) and the projection
-service (one pool for the server's lifetime):
+:func:`repro.extract_many` and the projection service (one pool for the
+server's lifetime).  Batch calls :func:`borrow` one pool that lives as
+long as the process:
+
+* the first ``jobs > 1`` call spawns it; later calls reuse its warm
+  workers and pins while it still fits them — spawned by this process,
+  as wide, with the same tracing state, in the same working directory,
+  no worker lost while idle, fewer than ``_MAX_PINS`` pins — and
+  otherwise replace it (the new workers spawn on the call's first
+  submit);
+* a call that finds it busy with another thread runs on a private pool
+  and shuts that down when it returns;
+* a call that broke the pool detaches it, and a call that raised
+  retires it, so no later call inherits a broken pool;
+* it shuts down at interpreter exit.  Until then its idle workers stay;
+  each exits by itself, between tasks, once its parent is gone without
+  having shut it down (SIGKILL, ``os._exit``).
+
+Per pool:
 
 * every (grammar, projector, attribute-flag) pair a job uses is
   **pinned**: the parent compiles the :class:`~repro.projection.fastpath.
@@ -41,8 +58,11 @@ its retry-once on a crashed worker, in :mod:`repro.service.server`.
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
+import threading
+import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
@@ -55,6 +75,7 @@ from repro.core.cache import grammar_fingerprint
 from repro.dtd.grammar import Grammar
 from repro.extract.api import extract
 from repro.projection.fastpath import FastPruner
+from repro.run import file_identity
 
 __all__ = ["PinKey", "ResidentPool", "absorb", "rerun_in_parent"]
 
@@ -68,9 +89,21 @@ FINGERPRINT_MISMATCH = "fingerprint-mismatch"
 #: What pins a compiled pruner: (grammar fingerprint, projector, flag).
 PinKey = tuple[str, frozenset, bool]
 
+#: How often a worker checks that the process that spawned it is alive.
+_PARENT_POLL_SECONDS = 0.5
+
+#: The resident batch pool is replaced once it holds this many pins: a
+#: long-lived process that batches over ever new projectors would
+#: otherwise grow without bound, in the parent and in every worker.
+_MAX_PINS = 16
+
 
 def _resolve_jobs(jobs: int | None) -> int:
+    """``None``/``0`` mean every CPU this process may run on (its
+    affinity mask where the platform has one, not the machine's count)."""
     if jobs is None or jobs == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     if jobs < 0:
         raise ValueError(f"jobs must be positive, got {jobs}")
@@ -136,6 +169,9 @@ def rerun_in_parent(
 _PINS: dict[PinKey, FastPruner] = {}
 #: The worker's trace sink (``None`` when the parent does not trace).
 _SINK: obs.MemorySink | None = None
+#: Held while the worker runs a task, so it never exits halfway through
+#: writing an output.
+_BUSY = threading.Lock()
 
 
 def _pin(key: PinKey, pruner: FastPruner) -> FastPruner | None:
@@ -145,6 +181,17 @@ def _pin(key: PinKey, pruner: FastPruner) -> FastPruner | None:
         return None
     _PINS[key] = pruner
     return pruner
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit the worker, between tasks, once its parent is gone.  An idle
+    worker blocks reading the task queue, whose pipe its siblings hold
+    open, so without this it outlives a parent that died without shutting
+    the pool down (SIGKILL, ``os._exit``)."""
+    while True:
+        time.sleep(_PARENT_POLL_SECONDS)
+        if os.getppid() != parent and _BUSY.acquire(blocking=False):
+            os._exit(0)
 
 
 def _init_worker(pins: list[tuple[PinKey, FastPruner]], tracing: bool) -> None:
@@ -158,6 +205,9 @@ def _init_worker(pins: list[tuple[PinKey, FastPruner]], tracing: bool) -> None:
     if tracing:
         _SINK = obs.MemorySink()
         obs.configure(_SINK)
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True
+    ).start()
 
 
 def _task(
@@ -183,7 +233,8 @@ def _task(
         )
     else:
         try:
-            result = _execute_item(pruner, options, source, out_path, spec)
+            with _BUSY:
+                result = _execute_item(pruner, options, source, out_path, spec)
             if getattr(result, "events", None) is not None:
                 result.events = None  # iterators never cross the process boundary
         except Exception as exc:
@@ -283,6 +334,12 @@ class ResidentPool:
     def pinned(self) -> int:
         return len(self._pruners)
 
+    @property
+    def broken(self) -> bool:
+        """Whether the workers broke (one died, say killed from outside
+        while the pool sat idle): a submit would raise instead of run."""
+        return self._executor is not None and bool(self._executor._broken)
+
     def pinned_for(self, fingerprint: str) -> int:
         """How many pinned pairs belong to one grammar fingerprint."""
         return sum(1 for key in self._pruners if key[0] == fingerprint)
@@ -344,3 +401,63 @@ class ResidentPool:
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
+
+
+# -- the resident batch pool -----------------------------------------------------
+
+#: The batch pool with what it was made for: (pool, (pid, jobs, tracing,
+#: working directory)).
+_resident: "tuple[ResidentPool, tuple[int, int, bool, Any]] | None" = None
+#: Held by the one batch call using the resident pool.
+_resident_lock = threading.Lock()
+
+
+@contextmanager
+def borrow(jobs: int) -> Iterator[ResidentPool]:
+    """The pool for one batch call, ``jobs`` workers wide: the resident
+    pool while it still fits (see the module docstring), else a fresh
+    one that becomes resident.  An exception out of the call retires the
+    pool, since its workers may still hold the call's items."""
+    global _resident
+    tracing = obs.enabled()
+    if not _resident_lock.acquire(blocking=False):
+        # Another thread's call holds the resident pool: a shared one
+        # would see that call's timeout kills and respawns.
+        private = ResidentPool(jobs, tracing=tracing)
+        try:
+            yield private
+        finally:
+            private.shutdown()
+        return
+    try:
+        # Workers resolve relative paths in the directory they were
+        # forked in; ``None`` when the working directory is gone.
+        made_for = (os.getpid(), jobs, tracing, file_identity("."))
+        if _resident is not None and (
+            _resident[1] != made_for
+            or made_for[3] is None
+            or _resident[0].broken
+            or _resident[0].pinned >= _MAX_PINS
+        ):
+            _retire()
+        if _resident is None:
+            _resident = (ResidentPool(jobs, tracing=tracing), made_for)
+        try:
+            yield _resident[0]
+        except BaseException:
+            _retire()
+            raise
+    finally:
+        _resident_lock.release()
+
+
+def _retire() -> None:
+    """Drop the resident pool, shutting it down unless another process
+    spawned it (a forked child must leave its parent's workers alone)."""
+    global _resident
+    resident, _resident = _resident, None
+    if resident is not None and resident[1][0] == os.getpid():
+        resident[0].shutdown()
+
+
+atexit.register(_retire)

@@ -8,7 +8,8 @@ projector, options) and a finished result, written once for both:
 * the source is classified once (:func:`source_kind`): markup, path,
   open stream or event iterable;
 * ``bytes_in`` is measured and the source opened *before* the sink, so
-  a missing input never touches a file already at ``out``;
+  a missing input never touches a file already at ``out``, and an
+  ``out`` path that is the source file is refused before either opens;
 * the ``out`` dispatch: collect into a string, write a path under the
   remove-partial-output contract (:func:`_open_output`), or stream to
   the caller's sink (hashed on the way when the ledger records it);
@@ -47,6 +48,7 @@ from repro.errors import (
     EncodingError,
     FastPathUnsupported,
     LimitExceeded,
+    ReproError,
     StrayDocumentError,
     ValidationError,
 )
@@ -167,6 +169,28 @@ def open_source(source: Any, kind: str) -> Iterator[Any]:
         return
     with open(os.fspath(source), "r", encoding="utf-8") as handle:
         yield handle
+
+
+def file_identity(path: Any) -> "tuple[int, int] | None":
+    """What ``os.path.samefile`` compares — (device, inode), so a link
+    names the file it points to — or ``None`` when ``path`` cannot be
+    stat'ed (it does not exist yet)."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return None
+    return info.st_dev, info.st_ino
+
+
+def _refuse_overwriting_source(source: Any, out: Any) -> None:
+    """Refuse an output path that is the source file (also through a
+    link): opening it for writing would truncate the input unread."""
+    identity = file_identity(source)
+    if identity is not None and identity == file_identity(out):
+        raise ReproError(
+            f"output {os.fspath(out)!r} is the source file; "
+            "refusing to overwrite the input"
+        )
 
 
 @contextlib.contextmanager
@@ -300,6 +324,8 @@ def execute(
     scanned), then the scan itself.  An event source (the record
     consumer only) is scanned straight away.
     """
+    if kind == PATH and out is not None and not hasattr(out, "write"):
+        _refuse_overwriting_source(source, out)
     stats = consumer.stats_type()
     entry = None
     if kind != EVENTS:

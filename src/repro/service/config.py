@@ -23,7 +23,8 @@ class ServiceConfig:
 
     * ``host`` / ``port`` — bind address; port ``0`` picks a free port
       (read it back from ``server.port`` once started).
-    * ``jobs`` — resident worker-pool width (``None``/``0`` = all cores).
+    * ``jobs`` — resident worker-pool width (``None``/``0`` = every CPU
+      this process may run on).
     * ``queue_limit`` — admission bound: maximum requests admitted
       server-wide (queued + running).  Request number ``queue_limit + 1``
       gets a structured 429-style refusal, never a hang.

@@ -1,12 +1,12 @@
 """The service's resident workers: the shared pool, kept for a lifetime.
 
-:mod:`repro.parallel` runs one :class:`~repro.pool.ResidentPool` per
-batch; the service keeps one alive for its whole lifetime, so the
-per-request cost is a queue hop, not a pool spawn.  Pinning, the
-fingerprint handshake, the worker task (with its
-:func:`repro.pool._execute_item` monkeypatch point), trace shipping and
-respawns all live in :mod:`repro.pool`; this module adds only the
-structured failure a pooled request raises.
+Batch mode borrows the process's resident :class:`~repro.pool.
+ResidentPool` (:func:`repro.pool.borrow`); the service keeps a pool of
+its own alive for its whole lifetime, so the per-request cost is a queue
+hop, not a pool spawn.  Pinning, the fingerprint handshake, the worker
+task (with its :func:`repro.pool._execute_item` monkeypatch point), trace
+shipping and respawns all live in :mod:`repro.pool`; this module adds
+only the structured failure a pooled request raises.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import pool
 from repro.dtd.grammar import grammar_from_text
 from repro.dtd.validator import validate
 from repro.workloads.xmark import generate_document, xmark_grammar
@@ -30,6 +31,17 @@ BOOK_XML = (
     '<book isbn="d2"><title>Vita Nova</title><author>Dante</author><price>8</price></book>'
     '</bib>'
 )
+
+
+@pytest.fixture(autouse=True)
+def no_resident_pool():
+    """Each test starts and ends without a resident batch pool: workers
+    forked by an earlier test would miss this test's monkeypatches (the
+    fork-inherited crash and stall injection), and workers left behind
+    would outlive the test."""
+    pool._retire()
+    yield
+    pool._retire()
 
 
 @pytest.fixture(scope="session")

@@ -193,6 +193,30 @@ class TestSourceOpensBeforeSink:
                 extract(missing, book_grammar, spec, out=str(out))
         assert out.read_bytes() == b"precious\n"
 
+    @pytest.mark.parametrize("op", ["prune", "extract"])
+    @pytest.mark.parametrize("through", ["path", "symlink"])
+    def test_output_that_is_the_source_is_refused(
+        self, book_grammar, projector, tmp_path, op, through
+    ):
+        """An ``out`` path naming the source file (directly or through a
+        link) is refused before it is opened: opening it would truncate
+        the input before the scan reads it."""
+        from repro import ExtractSpec, extract
+
+        source = tmp_path / "in.xml"
+        source.write_text(BOOK_XML, encoding="utf-8")
+        out = source
+        if through == "symlink":
+            out = tmp_path / "link.xml"
+            out.symlink_to(source)
+        spec = ExtractSpec(rows="/bib/book", fields={"title": "title/text()"})
+        with pytest.raises(ReproError, match="is the source file"):
+            if op == "prune":
+                prune(str(source), book_grammar, projector, out=str(out))
+            else:
+                extract(str(source), book_grammar, spec, out=str(out))
+        assert source.read_text(encoding="utf-8") == BOOK_XML
+
 
 class TestOptions:
     def test_defaults(self):

@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
 
 import pytest
 
-from repro import ExtractSpec, extract, extract_many, obs, prune, prune_many
+import repro
+from repro import ExtractSpec, extract, extract_many, obs, pool, prune, prune_many
 from repro.core.cache import resolve_projector
 from repro.engine.loader import load_many
+from repro.errors import ReproError
 from repro.parallel import (
     BatchError,
     _output_paths,
@@ -34,6 +42,11 @@ def _doc(i: int) -> str:
         f'<bib><book year="20{i % 100:02d}"><title>T{i}</title>'
         f"<author>A{i}</author><price>{i}.00</price></book></bib>"
     )
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 @pytest.fixture()
@@ -95,6 +108,11 @@ class TestOutputPaths:
             os.path.join("out", "doc00000.xml"),
             os.path.join("out", "doc00001.xml"),
         ]
+
+    def test_prefixed_name_never_lands_on_another_item(self):
+        paths = _output_paths(["a/x.xml", "b/00002_x.xml", "c/x.xml"], "out")
+        assert len(set(paths)) == 3
+        assert paths[:2] == [os.path.join("out", "x.xml"), os.path.join("out", "00002_x.xml")]
 
 
 # -- serial mode (jobs=1) -----------------------------------------------------
@@ -206,6 +224,36 @@ class TestSerial:
             prune_many(corpus, book_grammar, frozenset({"NotAName"}))
 
 
+class TestSourcesAreNeverOverwritten:
+    """A batch whose output path names one of its own sources is refused
+    in the parent, before any file is written or any worker spawned."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_out_dir_holding_the_sources_is_refused(
+        self, corpus, book_grammar, tmp_path, jobs
+    ):
+        before = {path: _read(path) for path in corpus}
+        with pytest.raises(ReproError, match="refusing to overwrite an input"):
+            prune_many(corpus, book_grammar, QUERY, jobs=jobs, out_dir=tmp_path)
+        assert {path: _read(path) for path in corpus} == before
+        assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, corpus))
+        assert pool._resident is None
+
+    def test_output_naming_another_items_source_is_refused(
+        self, book_grammar, tmp_path
+    ):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "e").mkdir()
+        first, second = tmp_path / "d" / "x.xml", tmp_path / "e" / "x.xml"
+        first.write_text(_doc(1), encoding="utf-8")
+        second.write_text(_doc(2), encoding="utf-8")
+        with pytest.raises(ReproError, match="of item 0 is the source of item 1"):
+            prune_many([str(first), str(second)], book_grammar, QUERY,
+                       out_dir=tmp_path / "e")
+        assert first.read_text(encoding="utf-8") == _doc(1)
+        assert second.read_text(encoding="utf-8") == _doc(2)
+
+
 # -- pool mode (jobs>1) -------------------------------------------------------
 
 
@@ -257,7 +305,17 @@ class TestPool:
     def test_jobs_zero_uses_all_cores(self, corpus, book_grammar):
         batch = prune_many(corpus[:2], book_grammar, QUERY, jobs=0)
         assert batch.ok
-        assert batch.jobs == (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert batch.jobs == len(os.sched_getaffinity(0))
+        else:
+            assert batch.jobs == (os.cpu_count() or 1)
+
+    def test_jobs_zero_counts_only_the_cpus_this_process_may_use(
+        self, corpus, book_grammar, monkeypatch
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert prune_many(corpus[:2], book_grammar, QUERY, jobs=0).jobs == 1
+        assert pool.ResidentPool(0).jobs == 1  # the service's width
 
     @pytest.mark.skipif(not HAS_FORK, reason="crash injection requires fork")
     def test_worker_crash_yields_structured_errors_not_hang(
@@ -464,6 +522,221 @@ class TestFingerprintMismatch:
         monkeypatch.undo()
         serial = prune_many(corpus, book_grammar, QUERY, jobs=1)
         assert batch.texts() == serial.texts()
+
+
+# -- the resident pool ---------------------------------------------------------
+
+
+def _traced_workers(sink, name="prune") -> set[int]:
+    return {span["attrs"]["worker"] for span in sink.spans(name)}
+
+
+def _slow_items(monkeypatch, needle: str, seconds: float) -> None:
+    """Make items whose source contains ``needle`` take ``seconds``
+    longer (fork workers inherit the patch)."""
+    real = pool._execute_item
+
+    def slow(pruner, options, source, out_path, spec=None):
+        if needle in source:
+            time.sleep(seconds)
+        return real(pruner, options, source, out_path, spec)
+
+    monkeypatch.setattr(pool, "_execute_item", slow)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie nobody reaped has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+_ORPHAN_SCRIPT = """
+import os, sys, time
+from repro import pool, prune_many
+from repro.dtd.grammar import grammar_from_text
+grammar = grammar_from_text(
+    "<!ELEMENT bib (book*)><!ELEMENT book (title)><!ELEMENT title (#PCDATA)>", "bib")
+docs = ["<bib><book><title>%d</title></book></bib>" % i for i in range(4)]
+assert prune_many(docs, grammar, "/bib/book/title", jobs=2).ok
+print(" ".join(map(str, pool._resident[0]._executor._processes)), flush=True)
+ending = sys.argv[1]
+if ending == "_exit":
+    os._exit(0)
+if ending == "kill":
+    time.sleep(60)
+"""
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="the resident pool forks its workers")
+class TestResidentPool:
+    """The batch pool stays up between calls, and is reused only while it
+    still fits the call."""
+
+    def test_consecutive_calls_run_in_the_same_workers(
+        self, corpus, book_grammar, monkeypatch
+    ):
+        _slow_items(monkeypatch, "doc", 0.02)  # so both workers take items
+        with obs.capture() as sink:
+            first = prune_many(corpus, book_grammar, QUERY, jobs=2)
+            obs.flush()
+            workers = _traced_workers(sink)
+        with obs.capture() as sink:
+            second = prune_many(corpus, book_grammar, QUERY, jobs=2)
+            obs.flush()
+        assert first.ok and second.ok
+        assert len(workers) == 2
+        assert _traced_workers(sink) == workers
+        assert second.respawns == 0
+
+    def test_new_projector_and_extraction_reuse_the_pool(self, corpus, book_grammar):
+        other = "/bib/book/author"
+        with obs.capture() as sink:
+            pooled = [
+                prune_many(corpus, book_grammar, QUERY, jobs=2).texts(),
+                prune_many(corpus, book_grammar, other, jobs=2).texts(),
+                [r.text for r in extract_many(corpus, book_grammar, EXTRACT_SPEC,
+                                              jobs=2).results],
+            ]
+            obs.flush()
+        assert len(_traced_workers(sink) | _traced_workers(sink, "extract")) <= 2
+        # New pins ship to the running workers, not back to the parent.
+        assert "parallel.fingerprint_fallbacks" not in sink.counters()
+        assert pooled == [
+            prune_many(corpus, book_grammar, QUERY, jobs=1).texts(),
+            prune_many(corpus, book_grammar, other, jobs=1).texts(),
+            [r.text for r in extract_many(corpus, book_grammar, EXTRACT_SPEC).results],
+        ]
+
+    def test_tracing_turned_on_between_calls_reaches_the_workers(
+        self, corpus, book_grammar
+    ):
+        assert prune_many(corpus, book_grammar, QUERY, jobs=2).ok
+        with obs.capture() as sink:
+            assert prune_many(corpus, book_grammar, QUERY, jobs=2).ok
+            obs.flush()
+        assert len(sink.spans("prune")) == len(corpus)
+
+    def test_relative_paths_follow_the_working_directory(
+        self, book_grammar, tmp_path, monkeypatch
+    ):
+        for i, name in enumerate(["one", "two"]):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "doc.xml").write_text(_doc(i), encoding="utf-8")
+        for name in ["one", "two"]:
+            monkeypatch.chdir(tmp_path / name)
+            pooled = prune_many(["doc.xml"], book_grammar, QUERY, jobs=2, out_dir="out")
+            assert pooled.ok, pooled.errors
+            serial = prune_many(["doc.xml"], book_grammar, QUERY, jobs=1)
+            with open(tmp_path / name / "out" / "doc.xml", encoding="utf-8") as handle:
+                assert handle.read() == serial.texts()[0]
+
+    def test_worker_killed_between_calls_is_not_reused(self, corpus, book_grammar):
+        assert prune_many(corpus, book_grammar, QUERY, jobs=2).ok
+        resident = pool._resident[0]
+        os.kill(next(iter(resident._executor._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while not resident.broken and time.monotonic() < deadline:
+            time.sleep(0.02)
+        batch = prune_many(corpus, book_grammar, QUERY, jobs=2)
+        assert batch.ok, batch.errors
+        assert batch.respawns == 0
+
+    def test_pins_stay_bounded(self, corpus, book_grammar):
+        leaves = ["title", "author", "year", "price"]
+        for mask in range(2 ** len(leaves)):
+            projector = frozenset(
+                ["bib", "book"] + [leaf for bit, leaf in enumerate(leaves) if mask >> bit & 1]
+            )
+            assert prune_many(corpus[:2], book_grammar, projector, jobs=2).ok
+        assert prune_many(corpus[:2], book_grammar, frozenset({"bib"}), jobs=2).ok
+        assert pool._resident[0].pinned <= pool._MAX_PINS
+
+    def test_child_forked_after_a_call_runs_its_own_batch(self, corpus, book_grammar):
+        assert prune_many(corpus, book_grammar, QUERY, jobs=2).ok
+        with warnings.catch_warnings():
+            # 3.12+ flags a fork while the resident pool's threads run.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child = os.fork()
+        if child == 0:
+            code = 1
+            try:
+                code = 0 if prune_many(corpus, book_grammar, QUERY, jobs=2).ok else 3
+                pool._retire()
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 10
+        while (done := os.waitpid(child, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(child, signal.SIGKILL)
+                os.waitpid(child, 0)
+                pytest.fail("the forked child's batch did not finish in 10 s")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_concurrent_calls_only_fail_the_stuck_item(
+        self, corpus, book_grammar, monkeypatch, tmp_path
+    ):
+        """The clean call's 40 slow items keep it running through the
+        stuck call's timeout kill: on a shared pool the kill would take
+        the clean call's items down with it."""
+        slow = []
+        for i in range(40):
+            path = tmp_path / f"slow{i:02d}.xml"
+            path.write_text(_doc(i), encoding="utf-8")
+            slow.append(str(path))
+        _slow_items(monkeypatch, "doc00", 60)
+        _slow_items(monkeypatch, "slow", 0.05)
+        batches = {}
+
+        def run(name, items, **kwargs):
+            batches[name] = prune_many(items, book_grammar, QUERY, jobs=2, **kwargs)
+
+        threads = [
+            threading.Thread(target=run, args=("stuck", corpus), kwargs={"timeout": 1.0}),
+            threading.Thread(target=run, args=("clean", slow)),
+        ]
+        for thread in threads:
+            thread.start()
+            time.sleep(0.1)
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert {(e.index, e.kind) for e in batches["stuck"].errors} == {(0, "timeout")}
+        assert batches["clean"].ok, batches["clean"].errors
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    @pytest.mark.parametrize("ending", ["exit", "_exit", "kill"])
+    def test_no_worker_outlives_its_parent(self, ending):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT, ending],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        workers: list[int] = []
+        try:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+            if ending == "kill":
+                proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            left = [pid for pid in workers if _alive(pid)]
+        finally:
+            proc.stdout.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+        assert len(workers) == 2
+        assert left == []
 
 
 # -- batch extraction ---------------------------------------------------------
