@@ -76,7 +76,7 @@ from repro.pool import (
 )
 from repro.projection.fastpath import FastPruner
 from repro.projection.stats import PruneStats
-from repro.run import file_identity, is_markup, resolve_options
+from repro.run import _file_identity, is_markup, resolve_options
 
 __all__ = [
     "BatchError",
@@ -252,11 +252,11 @@ def _refuse_overwriting_sources(items: list[str], out_paths: list[str]) -> None:
     item this item's output as its input."""
     sources: dict[tuple[int, int], int] = {}
     for index, source in enumerate(items):
-        identity = None if is_markup(source) else file_identity(source)
+        identity = None if is_markup(source) else _file_identity(source)
         if identity is not None:
             sources.setdefault(identity, index)
     for index, path in enumerate(out_paths):
-        identity = file_identity(path)
+        identity = _file_identity(path)
         if identity in sources:
             raise ReproError(
                 f"output {path!r} of item {index} is the source of item "

@@ -75,7 +75,7 @@ from repro.core.cache import grammar_fingerprint
 from repro.dtd.grammar import Grammar
 from repro.extract.api import extract
 from repro.projection.fastpath import FastPruner
-from repro.run import file_identity
+from repro.run import _file_identity
 
 __all__ = ["PinKey", "ResidentPool", "absorb", "rerun_in_parent"]
 
@@ -334,12 +334,6 @@ class ResidentPool:
     def pinned(self) -> int:
         return len(self._pruners)
 
-    @property
-    def broken(self) -> bool:
-        """Whether the workers broke (one died, say killed from outside
-        while the pool sat idle): a submit would raise instead of run."""
-        return self._executor is not None and bool(self._executor._broken)
-
     def pinned_for(self, fingerprint: str) -> int:
         """How many pinned pairs belong to one grammar fingerprint."""
         return sum(1 for key in self._pruners if key[0] == fingerprint)
@@ -412,6 +406,12 @@ _resident: "tuple[ResidentPool, tuple[int, int, bool, Any]] | None" = None
 _resident_lock = threading.Lock()
 
 
+def _broken(pool: ResidentPool) -> bool:
+    """Whether the pool's workers broke (one died, say killed from
+    outside while the pool sat idle): a submit would raise, not run."""
+    return pool._executor is not None and bool(pool._executor._broken)
+
+
 @contextmanager
 def borrow(jobs: int) -> Iterator[ResidentPool]:
     """The pool for one batch call, ``jobs`` workers wide: the resident
@@ -432,11 +432,11 @@ def borrow(jobs: int) -> Iterator[ResidentPool]:
     try:
         # Workers resolve relative paths in the directory they were
         # forked in; ``None`` when the working directory is gone.
-        made_for = (os.getpid(), jobs, tracing, file_identity("."))
+        made_for = (os.getpid(), jobs, tracing, _file_identity("."))
         if _resident is not None and (
             _resident[1] != made_for
             or made_for[3] is None
-            or _resident[0].broken
+            or _broken(_resident[0])
             or _resident[0].pinned >= _MAX_PINS
         ):
             _retire()

@@ -171,7 +171,7 @@ def open_source(source: Any, kind: str) -> Iterator[Any]:
         yield handle
 
 
-def file_identity(path: Any) -> "tuple[int, int] | None":
+def _file_identity(path: Any) -> "tuple[int, int] | None":
     """What ``os.path.samefile`` compares — (device, inode), so a link
     names the file it points to — or ``None`` when ``path`` cannot be
     stat'ed (it does not exist yet)."""
@@ -185,8 +185,8 @@ def file_identity(path: Any) -> "tuple[int, int] | None":
 def _refuse_overwriting_source(source: Any, out: Any) -> None:
     """Refuse an output path that is the source file (also through a
     link): opening it for writing would truncate the input unread."""
-    identity = file_identity(source)
-    if identity is not None and identity == file_identity(out):
+    identity = _file_identity(source)
+    if identity is not None and identity == _file_identity(out):
         raise ReproError(
             f"output {os.fspath(out)!r} is the source file; "
             "refusing to overwrite the input"

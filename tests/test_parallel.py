@@ -639,7 +639,7 @@ class TestResidentPool:
         resident = pool._resident[0]
         os.kill(next(iter(resident._executor._processes)), signal.SIGKILL)
         deadline = time.monotonic() + 10
-        while not resident.broken and time.monotonic() < deadline:
+        while not pool._broken(resident) and time.monotonic() < deadline:
             time.sleep(0.02)
         batch = prune_many(corpus, book_grammar, QUERY, jobs=2)
         assert batch.ok, batch.errors
