@@ -21,18 +21,22 @@ Quickstart::
 See README.md for the full tour and DESIGN.md for the paper-to-module map.
 """
 
-import warnings as _warnings
+import sys as _sys
+import types as _types
+from typing import TYPE_CHECKING
 
-from repro.api import PruneOptions, PruneResult, prune
-from repro.core.pipeline import AnalysisResult, analyze
-from repro.errors import StrayDocumentError, UnsupportedSchemaError
-from repro.extract.api import ExtractOptions, ExtractResult
-from repro.extract.api import extract as extract  # binds over the submodule name
-from repro.extract.spec import ExtractSpec
-from repro.limits import Limits
-from repro.loading import load_grammar
-from repro.parallel import BatchError, BatchResult, extract_many, prune_many
-from repro.schema.infer import InferredGrammar, infer_grammar
+from repro import _lazy
+
+if TYPE_CHECKING:
+    from repro.api import PruneOptions, PruneResult, prune
+    from repro.core.pipeline import AnalysisResult, analyze
+    from repro.errors import StrayDocumentError, UnsupportedSchemaError
+    from repro.extract.api import ExtractOptions, ExtractResult, extract
+    from repro.extract.spec import ExtractSpec
+    from repro.limits import Limits
+    from repro.loading import load_grammar
+    from repro.parallel import BatchError, BatchResult, extract_many, prune_many
+    from repro.schema.infer import InferredGrammar, infer_grammar
 
 __version__ = "1.0.0"
 
@@ -58,6 +62,31 @@ __all__ = [
     "prune",
     "prune_many",
 ]
+
+#: The public surface, each name mapped to the module that defines it.
+#: Nothing is imported until a name is first used (PEP 562), so
+#: ``import repro`` stays cheap for every fresh process.
+_EXPORTS = {
+    "AnalysisResult": "repro.core.pipeline",
+    "BatchError": "repro.parallel",
+    "BatchResult": "repro.parallel",
+    "ExtractOptions": "repro.extract.api",
+    "ExtractResult": "repro.extract.api",
+    "ExtractSpec": "repro.extract.spec",
+    "InferredGrammar": "repro.schema.infer",
+    "Limits": "repro.limits",
+    "PruneOptions": "repro.api",
+    "PruneResult": "repro.api",
+    "StrayDocumentError": "repro.errors",
+    "UnsupportedSchemaError": "repro.errors",
+    "analyze": "repro.core.pipeline",
+    "extract": "repro.extract.api",
+    "extract_many": "repro.parallel",
+    "infer_grammar": "repro.schema.infer",
+    "load_grammar": "repro.loading",
+    "prune": "repro.api",
+    "prune_many": "repro.parallel",
+}
 
 #: Pre-1.0-surface names that used to be re-exported here, mapped to the
 #: submodule that owns them.  Each resolves lazily (PEP 562) with a
@@ -104,20 +133,17 @@ _DEPRECATED = {
 }
 
 
-def __getattr__(name: str):
-    home = _DEPRECATED.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _warnings.warn(
-        f"importing {name!r} from the top-level 'repro' package is "
-        f"deprecated; use 'from {home} import {name}' instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(home), name)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS, _DEPRECATED)
 
 
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED))
+class _Package(_types.ModuleType):
+    """``extract`` names both the facade function and a subpackage, and
+    the import system binds a subpackage onto its parent when it first
+    loads.  Keep the function, whichever of the two loads first."""
+
+    def __setattr__(self, name, value):
+        if name != "extract" or not isinstance(value, _types.ModuleType):
+            super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package

@@ -175,9 +175,14 @@ def _batch_inputs(args):
     Batch mode engages when ``--jobs`` is not 1 or the input names more
     than one document (a glob or a directory).
     """
+    import errno
+
     from repro.parallel import expand_sources
 
     items = expand_sources(args.input)
+    if not items:
+        # Refused before anything (an output directory) is created.
+        raise FileNotFoundError(errno.ENOENT, "no document matches", args.input)
     if getattr(args, "jobs", 1) != 1 or len(items) != 1 or items[0] != args.input:
         return items
     return None
@@ -810,10 +815,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             return args.func(args)
-        except ReproError as error:
+        except (ReproError, OSError) as error:
             # Structured refusals (syntax, validation, resource limits)
-            # are expected outcomes on hostile input — report, don't
-            # traceback.
+            # are expected outcomes on hostile input, and so is a path
+            # that cannot be read or written — report, don't traceback.
             print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
             return 1
     finally:

@@ -6,46 +6,29 @@
 * :mod:`repro.core.pipeline`   — the user-facing analyze() entry point.
 """
 
-from repro.core.cache import (
-    CacheStats,
-    ProjectorCache,
-    default_cache,
-    grammar_fingerprint,
-)
-from repro.core.depth import depth_unfolded_grammar, fold_names
-from repro.core.inference import Env, TypeInference, infer_type, initial_env
-from repro.core.pipeline import (
-    AnalysisResult,
-    analyze,
-    analyze_query,
-    analyze_xquery,
-    type_of_query,
-)
-from repro.core.projector import (
-    ProjectorInference,
-    infer_projector,
-    materialized_projector,
-)
-from repro.core.types import TypeOperators
+from repro import _lazy
 
-__all__ = [
-    "AnalysisResult",
-    "CacheStats",
-    "Env",
-    "ProjectorCache",
-    "ProjectorInference",
-    "TypeInference",
-    "TypeOperators",
-    "analyze",
-    "analyze_query",
-    "analyze_xquery",
-    "default_cache",
-    "depth_unfolded_grammar",
-    "fold_names",
-    "grammar_fingerprint",
-    "infer_projector",
-    "infer_type",
-    "initial_env",
-    "materialized_projector",
-    "type_of_query",
-]
+_EXPORTS = {
+    "AnalysisResult": "repro.core.pipeline",
+    "CacheStats": "repro.core.cache",
+    "Env": "repro.core.inference",
+    "ProjectorCache": "repro.core.cache",
+    "ProjectorInference": "repro.core.projector",
+    "TypeInference": "repro.core.inference",
+    "TypeOperators": "repro.core.types",
+    "analyze": "repro.core.pipeline",
+    "analyze_query": "repro.core.pipeline",
+    "analyze_xquery": "repro.core.pipeline",
+    "default_cache": "repro.core.cache",
+    "depth_unfolded_grammar": "repro.core.depth",
+    "fold_names": "repro.core.depth",
+    "grammar_fingerprint": "repro.core.cache",
+    "infer_projector": "repro.core.projector",
+    "infer_type": "repro.core.inference",
+    "initial_env": "repro.core.inference",
+    "materialized_projector": "repro.core.projector",
+    "type_of_query": "repro.core.pipeline",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

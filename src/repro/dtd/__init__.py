@@ -7,85 +7,53 @@ documents producing the interpretation ``ℑ`` used by type-driven
 projection.
 """
 
-from repro.dtd.ast import (
-    AttlistDecl,
-    AttributeDef,
-    AttributeDefaultKind,
-    ContentKind,
-    ContentModel,
-    DTDDocument,
-    ElementDecl,
-)
-from repro.dtd.automaton import GlushkovAutomaton
-from repro.dtd.grammar import (
-    AttributeProduction,
-    ElementProduction,
-    Grammar,
-    Production,
-    TextProduction,
-    attribute_name,
-    grammar_from_dtd,
-    grammar_from_productions,
-    grammar_from_text,
-    is_attribute_name,
-    is_text_name,
-    text_name,
-)
-from repro.dtd.parser import DTDParser, parse_dtd
-from repro.dtd.singletype import SingleTypeGrammar, single_type_grammar
-from repro.dtd.properties import (
-    GrammarProperties,
-    analyze_grammar,
-    is_parent_unambiguous,
-    is_recursive,
-    is_star_guarded,
-    recursive_names,
-)
-from repro.dtd.regex import Alt, Atom, Empty, Epsilon, Opt, Plus, Regex, Seq, Star
-from repro.dtd.validator import EventValidator, Interpretation, TreeValidator, validate
+from repro import _lazy
 
-__all__ = [
-    "Alt",
-    "Atom",
-    "AttlistDecl",
-    "AttributeDef",
-    "AttributeDefaultKind",
-    "AttributeProduction",
-    "ContentKind",
-    "ContentModel",
-    "DTDDocument",
-    "DTDParser",
-    "ElementDecl",
-    "ElementProduction",
-    "Empty",
-    "Epsilon",
-    "EventValidator",
-    "GlushkovAutomaton",
-    "Grammar",
-    "GrammarProperties",
-    "Interpretation",
-    "Opt",
-    "Plus",
-    "Production",
-    "Regex",
-    "Seq",
-    "SingleTypeGrammar",
-    "Star",
-    "TextProduction",
-    "TreeValidator",
-    "analyze_grammar",
-    "attribute_name",
-    "grammar_from_dtd",
-    "grammar_from_productions",
-    "grammar_from_text",
-    "is_attribute_name",
-    "is_parent_unambiguous",
-    "is_recursive",
-    "is_star_guarded",
-    "is_text_name",
-    "parse_dtd",
-    "recursive_names",
-    "single_type_grammar",
-    "text_name",
-    "validate",
-]
+_EXPORTS = {
+    "Alt": "repro.dtd.regex",
+    "Atom": "repro.dtd.regex",
+    "AttlistDecl": "repro.dtd.ast",
+    "AttributeDef": "repro.dtd.ast",
+    "AttributeDefaultKind": "repro.dtd.ast",
+    "AttributeProduction": "repro.dtd.grammar",
+    "ContentKind": "repro.dtd.ast",
+    "ContentModel": "repro.dtd.ast",
+    "DTDDocument": "repro.dtd.ast",
+    "DTDParser": "repro.dtd.parser",
+    "ElementDecl": "repro.dtd.ast",
+    "ElementProduction": "repro.dtd.grammar",
+    "Empty": "repro.dtd.regex",
+    "Epsilon": "repro.dtd.regex",
+    "EventValidator": "repro.dtd.validator",
+    "GlushkovAutomaton": "repro.dtd.automaton",
+    "Grammar": "repro.dtd.grammar",
+    "GrammarProperties": "repro.dtd.properties",
+    "Interpretation": "repro.dtd.validator",
+    "Opt": "repro.dtd.regex",
+    "Plus": "repro.dtd.regex",
+    "Production": "repro.dtd.grammar",
+    "Regex": "repro.dtd.regex",
+    "Seq": "repro.dtd.regex",
+    "SingleTypeGrammar": "repro.dtd.singletype",
+    "Star": "repro.dtd.regex",
+    "TextProduction": "repro.dtd.grammar",
+    "TreeValidator": "repro.dtd.validator",
+    "analyze_grammar": "repro.dtd.properties",
+    "attribute_name": "repro.dtd.grammar",
+    "grammar_from_dtd": "repro.dtd.grammar",
+    "grammar_from_productions": "repro.dtd.grammar",
+    "grammar_from_text": "repro.dtd.grammar",
+    "is_attribute_name": "repro.dtd.grammar",
+    "is_parent_unambiguous": "repro.dtd.properties",
+    "is_recursive": "repro.dtd.properties",
+    "is_star_guarded": "repro.dtd.properties",
+    "is_text_name": "repro.dtd.grammar",
+    "parse_dtd": "repro.dtd.parser",
+    "recursive_names": "repro.dtd.properties",
+    "single_type_grammar": "repro.dtd.singletype",
+    "text_name": "repro.dtd.grammar",
+    "validate": "repro.dtd.validator",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

@@ -20,20 +20,19 @@ Batch fan-out lives in :func:`repro.parallel.extract_many`; the service
 op is ``extract`` (see :mod:`repro.service`).
 """
 
-from repro.extract.api import ExtractOptions, ExtractResult, extract
-from repro.extract.reference import extract_document, reference_records
-from repro.extract.spec import ExtractSpec, FieldPath
-from repro.extract.stats import ExtractStats
-from repro.extract.streaming import iter_records
+from repro import _lazy
 
-__all__ = [
-    "ExtractOptions",
-    "ExtractResult",
-    "ExtractSpec",
-    "ExtractStats",
-    "FieldPath",
-    "extract",
-    "extract_document",
-    "iter_records",
-    "reference_records",
-]
+_EXPORTS = {
+    "ExtractOptions": "repro.extract.api",
+    "ExtractResult": "repro.extract.api",
+    "ExtractSpec": "repro.extract.spec",
+    "ExtractStats": "repro.extract.stats",
+    "FieldPath": "repro.extract.spec",
+    "extract": "repro.extract.api",
+    "extract_document": "repro.extract.reference",
+    "iter_records": "repro.extract.streaming",
+    "reference_records": "repro.extract.reference",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

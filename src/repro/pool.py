@@ -45,11 +45,12 @@ Per pool:
 * :meth:`ResidentPool.respawn` kills and replaces the workers, keeping
   every pin (generation-counted, so concurrent callers that saw the same
   broken pool rebuild it once);
-* pool spawns are wrapped in :func:`_fork_quiet` — the server forks from
-  its event-loop thread on respawn, which Python 3.12+ flags with a
-  fork-in-multithreaded-process :class:`DeprecationWarning`; the pruning
-  workers share no locks with the parent (they only read the inherited
-  module state), so the warning is noise here.
+* the fork of a pool's workers (its executor's first submit) is wrapped
+  in :func:`_fork_quiet` — the server forks from its event-loop thread,
+  which Python 3.12+ flags with a fork-in-multithreaded-process
+  :class:`DeprecationWarning`; the pruning workers share no locks with
+  the parent (they only read the inherited module state), so the warning
+  is noise here.
 
 Batch mode adds its round logic (per-item ``timeout``, crash blame,
 ``retry_crashes``) on top, in :mod:`repro.parallel`; the service adds
@@ -65,7 +66,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from typing import Any, Iterator
 
@@ -121,7 +122,8 @@ def _kill_processes(executor: ProcessPoolExecutor) -> None:
 @contextmanager
 def _fork_quiet() -> Iterator[None]:
     """Silence the 3.12+ fork-in-multithreaded-process deprecation for
-    one pool spawn (see the module docstring for why it is safe here)."""
+    one fork of a pool's workers (see the module docstring for why it is
+    safe here)."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*fork", category=DeprecationWarning)
         yield
@@ -295,12 +297,11 @@ class ResidentPool:
         for sink in getattr(obs.get_tracer(), "sinks", ()):
             sink.flush()
         self._spawned = frozenset(self._pruners)
-        with _fork_quiet():
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_init_worker,
-                initargs=(list(self._pruners.items()), self.tracing),
-            )
+        self._executor = ProcessPoolExecutor(
+            max_workers=self.jobs,
+            initializer=_init_worker,
+            initargs=(list(self._pruners.items()), self.tracing),
+        )
         return self._executor
 
     # -- pinning ---------------------------------------------------------
@@ -362,13 +363,17 @@ class ResidentPool:
         """Queue one prune (or, with ``spec``, one extraction).  A pair
         the workers did not start with ships pickled alongside, so a
         worker that has not seen it yet can rebuild it."""
-        executor = self._executor if self._executor is not None else self._spawn()
+        fork = self._executor is None
+        executor = self._spawn() if fork else self._executor
         payload = None
         if key not in self._spawned:
             payload = self._payloads.get(key)
             if payload is None:
                 payload = self._payloads[key] = pickle.dumps(self._pruners[key])
-        return executor.submit(_task, key, payload, source, out_path, options, spec)
+        # With the fork start method the executor forks its workers in
+        # its first submit, not in its constructor.
+        with _fork_quiet() if fork else nullcontext():
+            return executor.submit(_task, key, payload, source, out_path, options, spec)
 
     def respawn(self, generation: int) -> bool:
         """Kill the workers; the next :meth:`submit` starts fresh ones

@@ -5,31 +5,24 @@ The unified streaming entry point is :func:`repro.prune` (see
 ``prune_string`` remain as deprecated aliases.
 """
 
-from repro.projection.fastpath import FastPruner
-from repro.projection.prunetable import PruneTable, TagPlan, compile_prune_table
-from repro.projection.stats import PruneStats, compare_documents, measure_document
-from repro.projection.streaming import (
-    StreamingPruner,
-    prune_events,
-    prune_file,
-    prune_stream,
-    prune_string,
-)
-from repro.projection.tree import prune_document, prune_tree
+from repro import _lazy
 
-__all__ = [
-    "FastPruner",
-    "PruneStats",
-    "PruneTable",
-    "StreamingPruner",
-    "TagPlan",
-    "compile_prune_table",
-    "compare_documents",
-    "measure_document",
-    "prune_document",
-    "prune_events",
-    "prune_file",
-    "prune_stream",
-    "prune_string",
-    "prune_tree",
-]
+_EXPORTS = {
+    "FastPruner": "repro.projection.fastpath",
+    "PruneStats": "repro.projection.stats",
+    "PruneTable": "repro.projection.prunetable",
+    "StreamingPruner": "repro.projection.streaming",
+    "TagPlan": "repro.projection.prunetable",
+    "compile_prune_table": "repro.projection.prunetable",
+    "compare_documents": "repro.projection.stats",
+    "measure_document": "repro.projection.stats",
+    "prune_document": "repro.projection.tree",
+    "prune_events": "repro.projection.streaming",
+    "prune_file": "repro.projection.streaming",
+    "prune_stream": "repro.projection.streaming",
+    "prune_string": "repro.projection.streaming",
+    "prune_tree": "repro.projection.tree",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

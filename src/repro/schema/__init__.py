@@ -19,16 +19,17 @@ package adds the other two real-world sources:
 static analysis) is grammar-class agnostic.
 """
 
-from repro.schema.infer import InferredGrammar, infer_grammar
-from repro.schema.wire import grammar_from_wire, grammar_to_wire
-from repro.schema.xsd import grammar_from_xsd, grammar_from_xsd_file, looks_like_xsd
+from repro import _lazy
 
-__all__ = [
-    "InferredGrammar",
-    "infer_grammar",
-    "grammar_from_wire",
-    "grammar_to_wire",
-    "grammar_from_xsd",
-    "grammar_from_xsd_file",
-    "looks_like_xsd",
-]
+_EXPORTS = {
+    "InferredGrammar": "repro.schema.infer",
+    "infer_grammar": "repro.schema.infer",
+    "grammar_from_wire": "repro.schema.wire",
+    "grammar_to_wire": "repro.schema.wire",
+    "grammar_from_xsd": "repro.schema.xsd",
+    "grammar_from_xsd_file": "repro.schema.xsd",
+    "looks_like_xsd": "repro.schema.xsd",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

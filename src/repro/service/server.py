@@ -172,12 +172,15 @@ class ProjectionServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         while self._request_tasks:
             await asyncio.gather(*list(self._request_tasks), return_exceptions=True)
         for conn in list(self._connections):
             with contextlib.suppress(Exception):
                 conn.writer.close()
+        if self._server is not None:
+            # Since 3.12.1 this waits for every connection to close, so
+            # it comes after the connections are closed above.
+            await self._server.wait_closed()
         await asyncio.to_thread(self.pool.shutdown)
         if self._ledger is not None:
             self._ledger.close()

@@ -24,34 +24,22 @@ Both verdicts are conservative in the sound direction: ``UNSAT`` and
 ``dependent`` merely mean "could not prove otherwise".
 """
 
-from repro.static.independence import (
-    IndependenceReport,
-    impact_names,
-    independent,
-)
-from repro.static.sat import (
-    BranchVerdict,
-    QueryVerdict,
-    classify_path,
-    classify_query,
-    derivable_names,
-    filter_projector,
-    occurring_names,
-    regex_can_contain,
-    regex_can_match,
-)
+from repro import _lazy
 
-__all__ = [
-    "BranchVerdict",
-    "IndependenceReport",
-    "QueryVerdict",
-    "classify_path",
-    "classify_query",
-    "derivable_names",
-    "filter_projector",
-    "impact_names",
-    "independent",
-    "occurring_names",
-    "regex_can_contain",
-    "regex_can_match",
-]
+_EXPORTS = {
+    "BranchVerdict": "repro.static.sat",
+    "IndependenceReport": "repro.static.independence",
+    "QueryVerdict": "repro.static.sat",
+    "classify_path": "repro.static.sat",
+    "classify_query": "repro.static.sat",
+    "derivable_names": "repro.static.sat",
+    "filter_projector": "repro.static.sat",
+    "impact_names": "repro.static.independence",
+    "independent": "repro.static.independence",
+    "occurring_names": "repro.static.sat",
+    "regex_can_contain": "repro.static.sat",
+    "regex_can_match": "repro.static.sat",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

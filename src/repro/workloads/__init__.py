@@ -1,23 +1,20 @@
 """Benchmark workloads: XMark, XPathMark, the Use Cases DTD corpus, the
 Shakespeare play corpus, and random generators for property tests."""
 
-from repro.workloads.shakespeare import (
-    SHAKESPEARE_QUERIES,
-    generate_play,
-    shakespeare_grammar,
-)
-from repro.workloads.usecases import USE_CASES, classify_corpus, use_case_grammar, xhtml_grammar
-from repro.workloads.xpathmark import TABLE1_XPATHMARK, XPATHMARK_QUERIES, xpathmark_query
+from repro import _lazy
 
-__all__ = [
-    "SHAKESPEARE_QUERIES",
-    "TABLE1_XPATHMARK",
-    "USE_CASES",
-    "XPATHMARK_QUERIES",
-    "classify_corpus",
-    "generate_play",
-    "shakespeare_grammar",
-    "use_case_grammar",
-    "xhtml_grammar",
-    "xpathmark_query",
-]
+_EXPORTS = {
+    "SHAKESPEARE_QUERIES": "repro.workloads.shakespeare",
+    "TABLE1_XPATHMARK": "repro.workloads.xpathmark",
+    "USE_CASES": "repro.workloads.usecases",
+    "XPATHMARK_QUERIES": "repro.workloads.xpathmark",
+    "classify_corpus": "repro.workloads.usecases",
+    "generate_play": "repro.workloads.shakespeare",
+    "shakespeare_grammar": "repro.workloads.shakespeare",
+    "use_case_grammar": "repro.workloads.usecases",
+    "xhtml_grammar": "repro.workloads.usecases",
+    "xpathmark_query": "repro.workloads.xpathmark",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

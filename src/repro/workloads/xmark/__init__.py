@@ -1,25 +1,20 @@
 """The XMark benchmark substrate: DTD, generator, queries."""
 
-from repro.workloads.xmark.dtd import ROOT_TAG, XMARK_DTD, xmark_grammar
-from repro.workloads.xmark.generator import (
-    XMarkCounts,
-    XMarkGenerator,
-    factor_for_megabytes,
-    generate_document,
-    generate_file,
-)
-from repro.workloads.xmark.queries import TABLE1_XMARK, XMARK_QUERIES, xmark_query
+from repro import _lazy
 
-__all__ = [
-    "ROOT_TAG",
-    "TABLE1_XMARK",
-    "XMARK_DTD",
-    "XMARK_QUERIES",
-    "XMarkCounts",
-    "XMarkGenerator",
-    "factor_for_megabytes",
-    "generate_document",
-    "generate_file",
-    "xmark_grammar",
-    "xmark_query",
-]
+_EXPORTS = {
+    "ROOT_TAG": "repro.workloads.xmark.dtd",
+    "TABLE1_XMARK": "repro.workloads.xmark.queries",
+    "XMARK_DTD": "repro.workloads.xmark.dtd",
+    "XMARK_QUERIES": "repro.workloads.xmark.queries",
+    "XMarkCounts": "repro.workloads.xmark.generator",
+    "XMarkGenerator": "repro.workloads.xmark.generator",
+    "factor_for_megabytes": "repro.workloads.xmark.generator",
+    "generate_document": "repro.workloads.xmark.generator",
+    "generate_file": "repro.workloads.xmark.generator",
+    "xmark_grammar": "repro.workloads.xmark.dtd",
+    "xmark_query": "repro.workloads.xmark.queries",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

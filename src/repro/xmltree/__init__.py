@@ -6,48 +6,32 @@ plumbing every other subsystem uses — the DTD validator, the XPath/XQuery
 evaluators, the static analysis and, centrally, the streaming pruner.
 """
 
-from repro.xmltree.builder import (
-    TreeBuilder,
-    build_tree,
-    parse_document,
-    parse_document_with_doctype,
-)
-from repro.xmltree.events import (
-    Characters,
-    Comment,
-    Doctype,
-    EndDocument,
-    EndElement,
-    Event,
-    ProcessingInstruction,
-    StartDocument,
-    StartElement,
-)
-from repro.xmltree.nodes import Document, Element, Node, Text, is_projection_of
-from repro.xmltree.parser import parse_events
-from repro.xmltree.serializer import serialize, write_document, write_events
+from repro import _lazy
 
-__all__ = [
-    "Characters",
-    "Comment",
-    "Doctype",
-    "Document",
-    "Element",
-    "EndDocument",
-    "EndElement",
-    "Event",
-    "Node",
-    "ProcessingInstruction",
-    "StartDocument",
-    "StartElement",
-    "Text",
-    "TreeBuilder",
-    "build_tree",
-    "is_projection_of",
-    "parse_document",
-    "parse_document_with_doctype",
-    "parse_events",
-    "serialize",
-    "write_document",
-    "write_events",
-]
+_EXPORTS = {
+    "Characters": "repro.xmltree.events",
+    "Comment": "repro.xmltree.events",
+    "Doctype": "repro.xmltree.events",
+    "Document": "repro.xmltree.nodes",
+    "Element": "repro.xmltree.nodes",
+    "EndDocument": "repro.xmltree.events",
+    "EndElement": "repro.xmltree.events",
+    "Event": "repro.xmltree.events",
+    "Node": "repro.xmltree.nodes",
+    "ProcessingInstruction": "repro.xmltree.events",
+    "StartDocument": "repro.xmltree.events",
+    "StartElement": "repro.xmltree.events",
+    "Text": "repro.xmltree.nodes",
+    "TreeBuilder": "repro.xmltree.builder",
+    "build_tree": "repro.xmltree.builder",
+    "is_projection_of": "repro.xmltree.nodes",
+    "parse_document": "repro.xmltree.builder",
+    "parse_document_with_doctype": "repro.xmltree.builder",
+    "parse_events": "repro.xmltree.parser",
+    "serialize": "repro.xmltree.serializer",
+    "write_document": "repro.xmltree.serializer",
+    "write_events": "repro.xmltree.serializer",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

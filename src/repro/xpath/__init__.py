@@ -9,79 +9,48 @@
   and 4.3).
 """
 
-from repro.xpath.ast import (
-    AndExpr,
-    Axis,
-    BinaryExpr,
-    Expr,
-    FilterExpr,
-    FunctionCall,
-    KindTest,
-    Literal,
-    LocationPath,
-    NameTest,
-    NodeTest,
-    Number,
-    OrExpr,
-    PathExpr,
-    Step,
-    UnaryMinus,
-    UnionExpr,
-    VariableRef,
-)
-from repro.xpath.approximation import Approximation, approximate_query
-from repro.xpath.evaluator import Context, XPathEvaluator, evaluate, select
-from repro.xpath.parser import parse_location_path, parse_xpath
-from repro.xpath.values import AttributeNode, XPathValue, string_value
-from repro.xpath.xpathl import (
-    LStep,
-    PathL,
-    SimplePath,
-    evaluate_pathl,
-    parse_pathl,
-    path,
-    simple,
-    step,
-    to_xpath,
-)
+from repro import _lazy
 
-__all__ = [
-    "AndExpr",
-    "Approximation",
-    "AttributeNode",
-    "Axis",
-    "BinaryExpr",
-    "Context",
-    "Expr",
-    "FilterExpr",
-    "FunctionCall",
-    "KindTest",
-    "LStep",
-    "Literal",
-    "LocationPath",
-    "NameTest",
-    "NodeTest",
-    "Number",
-    "OrExpr",
-    "PathExpr",
-    "PathL",
-    "SimplePath",
-    "Step",
-    "UnaryMinus",
-    "UnionExpr",
-    "VariableRef",
-    "XPathEvaluator",
-    "XPathValue",
-    "approximate_query",
-    "evaluate",
-    "evaluate_pathl",
-    "parse_location_path",
-    "parse_pathl",
-    "parse_xpath",
-    "path",
-    "select",
-    "simple",
-    "step",
-    "string_value",
-    "to_xpath",
-]
+_EXPORTS = {
+    "AndExpr": "repro.xpath.ast",
+    "Approximation": "repro.xpath.approximation",
+    "AttributeNode": "repro.xpath.values",
+    "Axis": "repro.xpath.ast",
+    "BinaryExpr": "repro.xpath.ast",
+    "Context": "repro.xpath.evaluator",
+    "Expr": "repro.xpath.ast",
+    "FilterExpr": "repro.xpath.ast",
+    "FunctionCall": "repro.xpath.ast",
+    "KindTest": "repro.xpath.ast",
+    "LStep": "repro.xpath.xpathl",
+    "Literal": "repro.xpath.ast",
+    "LocationPath": "repro.xpath.ast",
+    "NameTest": "repro.xpath.ast",
+    "NodeTest": "repro.xpath.ast",
+    "Number": "repro.xpath.ast",
+    "OrExpr": "repro.xpath.ast",
+    "PathExpr": "repro.xpath.ast",
+    "PathL": "repro.xpath.xpathl",
+    "SimplePath": "repro.xpath.xpathl",
+    "Step": "repro.xpath.ast",
+    "UnaryMinus": "repro.xpath.ast",
+    "UnionExpr": "repro.xpath.ast",
+    "VariableRef": "repro.xpath.ast",
+    "XPathEvaluator": "repro.xpath.evaluator",
+    "XPathValue": "repro.xpath.values",
+    "approximate_query": "repro.xpath.approximation",
+    "evaluate": "repro.xpath.evaluator",
+    "evaluate_pathl": "repro.xpath.xpathl",
+    "parse_location_path": "repro.xpath.parser",
+    "parse_pathl": "repro.xpath.xpathl",
+    "parse_xpath": "repro.xpath.parser",
+    "path": "repro.xpath.xpathl",
+    "select": "repro.xpath.evaluator",
+    "simple": "repro.xpath.xpathl",
+    "step": "repro.xpath.xpathl",
+    "string_value": "repro.xpath.values",
+    "to_xpath": "repro.xpath.xpathl",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

@@ -73,6 +73,38 @@ class TestPrune:
         ]) == 0
 
 
+class TestInputThatNamesNoDocument:
+    """Reported as ``error: <Type>: <msg>`` with exit 1, like a refusal:
+    never a traceback, never an empty success."""
+
+    @pytest.mark.parametrize("command", [
+        ["prune", "--query", "//title"],
+        ["extract", "--rows", "/bib/book", "--field", "t=title/text()"],
+    ])
+    def test_missing_file(self, workspace, capsys, command):
+        tmp_path, dtd, _ = workspace
+        out = tmp_path / "out.xml"
+        argv = [*command, "--dtd", dtd, "--root", "bib", str(tmp_path / "missing.xml")]
+        argv += [str(out)] if command[0] == "prune" else ["--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ") and "missing.xml" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pattern", ["nomatch*.xml", "empty"])
+    def test_empty_match_creates_nothing(self, workspace, capsys, pattern):
+        tmp_path, dtd, _ = workspace
+        (tmp_path / "empty").mkdir()
+        out_dir = tmp_path / "out"
+        assert main([
+            "prune", "--dtd", dtd, "--root", "bib", "--query", "//title",
+            str(tmp_path / pattern), str(out_dir),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ") and "no document" in err
+        assert not out_dir.exists()
+
+
 class TestValidate:
     def test_valid(self, workspace, capsys):
         _, dtd, xml = workspace

@@ -738,6 +738,30 @@ class TestResidentPool:
         assert len(workers) == 2
         assert left == []
 
+    @pytest.mark.skipif(sys.version_info < (3, 12),
+                        reason="the fork-with-threads warning is 3.12+")
+    @pytest.mark.skipif(not HAS_FORK, reason="the warning is about fork")
+    def test_fork_beside_a_thread_records_no_warning(self, book_grammar):
+        """The workers fork in the executor's first submit, which is what
+        the warning has to be silenced around."""
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        resident = pool.ResidentPool(2)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                key = resident.pin(book_grammar, resolve_projector(book_grammar, [QUERY]))
+                error, result, *_ = resident.submit(
+                    key, _doc(1), None, repro.PruneOptions()
+                ).result(timeout=60)
+        finally:
+            resident.shutdown()
+            release.set()
+            thread.join()
+        assert error is None and result.text
+        assert [str(w.message) for w in caught if "fork" in str(w.message)] == []
+
 
 # -- batch extraction ---------------------------------------------------------
 

@@ -579,6 +579,18 @@ def test_drain_finishes_admitted_work_and_refuses_new(book_grammar):
         background.stop()
 
 
+def _serve_subprocess(*args: str) -> subprocess.Popen:
+    """A real ``repro-xml serve`` process on a free port."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
 def test_sigterm_drains_the_subprocess_with_zero_lost_requests(book_grammar,
                                                                tmp_path):
     """The real ``repro-xml serve`` process: admit work, SIGTERM, and every
@@ -589,14 +601,7 @@ def test_sigterm_drains_the_subprocess_with_zero_lost_requests(book_grammar,
           "<year>1922</year><price>9</price></book>" * 2000
         + "</bib>"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0", "--jobs", "2"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-    )
+    proc = _serve_subprocess("--jobs", "2")
     try:
         banner = proc.stdout.readline()
         assert banner.startswith("serving on "), banner
@@ -634,6 +639,33 @@ def test_sigterm_drains_the_subprocess_with_zero_lost_requests(book_grammar,
         for i in range(1, requests + 1):
             assert responses[i]["ok"] is True, responses[i]
             assert responses[i]["result"]["text"] == expected
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def test_sigterm_closes_an_idle_connection_and_exits():
+    """An idle client does not hold the drain open: since 3.12.1 the
+    listening server's ``wait_closed`` waits for every connection, so the
+    server must close its connections before it waits."""
+    proc = _serve_subprocess("--jobs", "1")
+    try:
+        banner = proc.stdout.readline()
+        assert banner.startswith("serving on "), banner
+        port = int(banner.rsplit(":", 1)[1])
+        sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        try:
+            send_frame(sock, {"id": 1, "op": "health"})
+            answer = recv_frame(sock)
+            assert answer is not None and answer["ok"] is True
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+            assert recv_frame(sock) is None
+        finally:
+            sock.close()
     finally:
         if proc.poll() is None:
             proc.kill()
