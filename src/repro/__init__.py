@@ -38,7 +38,7 @@ if TYPE_CHECKING:
     from repro.parallel import BatchError, BatchResult, extract_many, prune_many
     from repro.schema.infer import InferredGrammar, infer_grammar
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnalysisResult",
@@ -88,52 +88,7 @@ _EXPORTS = {
     "prune_many": "repro.parallel",
 }
 
-#: Pre-1.0-surface names that used to be re-exported here, mapped to the
-#: submodule that owns them.  Each resolves lazily (PEP 562) with a
-#: DeprecationWarning naming the canonical import — the strict-CI job
-#: runs with ``-W error::DeprecationWarning`` to keep the repo itself
-#: off this path.
-_DEPRECATED = {
-    "CacheStats": "repro.core.cache",
-    "DeadlineExceeded": "repro.errors",
-    "EncodingError": "repro.errors",
-    "FastPruner": "repro.projection.fastpath",
-    "Grammar": "repro.dtd.grammar",
-    "Interpretation": "repro.dtd.validator",
-    "LimitExceeded": "repro.errors",
-    "ProjectorCache": "repro.core.cache",
-    "PruneTable": "repro.projection.prunetable",
-    "QueryEngine": "repro.engine.executor",
-    "ReproError": "repro.errors",
-    "ResourceError": "repro.errors",
-    "XPathEvaluator": "repro.xpath.evaluator",
-    "XQueryEvaluator": "repro.xquery.evaluator",
-    "analyze_grammar": "repro.dtd.properties",
-    "analyze_query": "repro.core.pipeline",
-    "analyze_xquery": "repro.core.pipeline",
-    "compile_prune_table": "repro.projection.prunetable",
-    "default_cache": "repro.core.cache",
-    "grammar_fingerprint": "repro.core.cache",
-    "grammar_from_dtd": "repro.dtd.grammar",
-    "grammar_from_text": "repro.dtd.grammar",
-    "infer_projector": "repro.core.projector",
-    "infer_type": "repro.core.inference",
-    "looks_like_xquery": "repro.querylang",
-    "materialized_projector": "repro.core.projector",
-    "parse_document": "repro.xmltree.builder",
-    "parse_dtd": "repro.dtd.parser",
-    "prune_document": "repro.projection.tree",
-    "prune_events": "repro.projection.streaming",
-    "prune_file": "repro.projection.streaming",
-    "prune_stream": "repro.projection.streaming",
-    "prune_string": "repro.projection.streaming",
-    "serialize": "repro.xmltree.serializer",
-    "type_of_query": "repro.core.pipeline",
-    "validate": "repro.dtd.validator",
-}
-
-
-__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS, _DEPRECATED)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)
 
 
 class _Package(_types.ModuleType):

@@ -1,9 +1,7 @@
 """The unified public pruning API: one :func:`prune` for every source.
 
-Historically the streaming pruner grew one entry point per source kind —
-``prune_string``, ``prune_file``, ``prune_stream`` and ``prune_events`` —
-each with its own positional-flag signature.  This module collapses them
-behind a single keyword-consistent facade::
+Every source kind — markup text, a path, an open stream, an event
+iterable — goes through one keyword-consistent facade::
 
     from repro import prune
 
@@ -79,12 +77,8 @@ class PruneOptions(WireOptions):
       :class:`~repro.limits.Limits`, a profile name (``"strict"``,
       ``"default"``, ``"off"``), or ``None`` for the default profile.
       Violations raise :class:`~repro.errors.LimitExceeded` /
-      :class:`~repro.errors.DeadlineExceeded`.
-    * ``fallback`` — let the fast path degrade gracefully to the event
-      pipeline on inputs its bulk scan cannot handle (``True``, the
-      default); ``False`` surfaces the refusal instead, and ``"force"``
-      skips the fast attempt entirely (a test knob: it proves the
-      degraded path byte-identical to the fast one).
+      :class:`~repro.errors.DeadlineExceeded`, from either pipeline
+      alike.
 
     ``to_wire``/``from_wire`` give the JSON form the service protocol
     ships (see :class:`repro.run.WireOptions`).
@@ -97,7 +91,6 @@ class PruneOptions(WireOptions):
     prune_attributes: bool = True
     chunk_size: int = DEFAULT_CHUNK_SIZE
     limits: "Limits | str | None" = None
-    fallback: "bool | str" = True
 
 
 DEFAULT_OPTIONS = PruneOptions()
@@ -220,7 +213,6 @@ def prune(
     prune_attributes: bool | None = None,
     chunk_size: int | None = None,
     limits: "Limits | str | None" = None,
-    fallback: "bool | str | None" = None,
     ledger: "Ledger | None" = None,
     provenance: dict[str, Any] | None = None,
 ) -> PruneResult:
@@ -272,7 +264,7 @@ def prune(
     opts = resolve_options(
         options, DEFAULT_OPTIONS,
         fast=fast, validate=validate, prune_attributes=prune_attributes,
-        chunk_size=chunk_size, limits=limits, fallback=fallback,
+        chunk_size=chunk_size, limits=limits,
     )
     policy = getattr(grammar, "on_stray", None)
     if policy is not None:

@@ -219,10 +219,12 @@ def _prune_via_server(args) -> int:
     Documents are read client-side and shipped as markup (the server may
     be on another machine); pruned markup comes back over the socket and
     is written locally, so the command's filesystem contract matches the
-    in-process path exactly.
+    in-process path exactly: an output that is an input is refused
+    before anything is sent or written.
     """
     from repro.api import PruneOptions
-    from repro.parallel import _output_paths
+    from repro.parallel import _output_paths, _refuse_overwriting_sources
+    from repro.run import _refuse_overwriting_source
     from repro.service.client import ServiceClient
 
     grammar_kwargs = _server_grammar_kwargs(args)
@@ -234,6 +236,11 @@ def _prune_via_server(args) -> int:
     }
 
     items = _batch_inputs(args)
+    if items is None:
+        _refuse_overwriting_source(args.input, args.output)
+    else:
+        out_paths = _output_paths(items, args.output)
+        _refuse_overwriting_sources(items, out_paths)
     with ServiceClient.from_address(args.server) as client:
         if items is None:
             outcome = client.prune(source=args.input, **options_kwargs)
@@ -252,7 +259,7 @@ def _prune_via_server(args) -> int:
         os.makedirs(args.output, exist_ok=True)
         batch = client.prune_batch(sources=list(items), **options_kwargs)
         failures = 0
-        for item, out_path in zip(batch.items, _output_paths(items, args.output)):
+        for item, out_path in zip(batch.items, out_paths):
             if isinstance(item, Exception):
                 failures += 1
                 print(f"error: {item}", file=sys.stderr)
@@ -355,31 +362,39 @@ def _extract_summary(stats, seconds: float, file=None) -> None:
 def _extract_via_server(args, spec) -> int:
     """Send ``extract`` work to a running projection service.  Documents
     are read client-side and shipped as markup; encoded records come back
-    over the socket and are written locally (stdout without ``--out``)."""
+    over the socket and are written locally (stdout without ``--out``).
+    An output that is an input is refused before anything is sent or
+    written, as in a local run."""
+    import os
+
     from repro.extract.api import ExtractOptions
+    from repro.parallel import (
+        _EXTRACT_SUFFIXES,
+        _output_paths,
+        _refuse_overwriting_sources,
+    )
+    from repro.run import _refuse_overwriting_source
     from repro.service.client import ServiceClient
 
     grammar_kwargs = _server_grammar_kwargs(args)
     options = ExtractOptions(format=args.format)
     items = _batch_inputs(args)
     failures = 0
-    with ServiceClient.from_address(args.server) as client:
-        if items is None:
-            items = [args.input]
-        import os
-
-        batch_mode = len(items) > 1 or getattr(args, "jobs", 1) != 1
-        if batch_mode and args.out is None:
+    if items is None:
+        items = [args.input]
+    batch_mode = len(items) > 1 or getattr(args, "jobs", 1) != 1
+    if batch_mode:
+        if args.out is None:
             raise SystemExit("batch extract requires --out DIRECTORY")
+        out_paths = _output_paths(items, args.out, _EXTRACT_SUFFIXES[args.format])
+        _refuse_overwriting_sources(items, out_paths)
+    else:
+        out_paths = [args.out]
+        if args.out is not None:
+            _refuse_overwriting_source(args.input, args.out)
+    with ServiceClient.from_address(args.server) as client:
         if batch_mode:
             os.makedirs(args.out, exist_ok=True)
-        from repro.parallel import _EXTRACT_SUFFIXES, _output_paths
-
-        out_paths = (
-            _output_paths(items, args.out, _EXTRACT_SUFFIXES[args.format])
-            if batch_mode
-            else [args.out]
-        )
         rows = nulls = 0
         for source, out_path in zip(items, out_paths):
             try:

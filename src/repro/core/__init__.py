@@ -17,8 +17,6 @@ _EXPORTS = {
     "TypeInference": "repro.core.inference",
     "TypeOperators": "repro.core.types",
     "analyze": "repro.core.pipeline",
-    "analyze_query": "repro.core.pipeline",
-    "analyze_xquery": "repro.core.pipeline",
     "default_cache": "repro.core.cache",
     "depth_unfolded_grammar": "repro.core.depth",
     "fold_names": "repro.core.depth",

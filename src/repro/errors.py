@@ -173,13 +173,6 @@ class DeadlineExceeded(ResourceError):
         super().__init__(f"wall-clock deadline of {deadline:g}s exceeded")
 
 
-class FastPathUnsupported(ReproError):
-    """Internal signal: the fused fast path cannot handle this input and
-    the caller should fall back to the event pipeline.  Never escapes the
-    :func:`repro.api.prune` facade unless fallback is disabled (or the
-    source/sink cannot be rewound for a retry)."""
-
-
 class ServiceError(ReproError):
     """Base class for projection-service errors (:mod:`repro.service`)."""
 

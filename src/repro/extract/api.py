@@ -73,10 +73,7 @@ class ExtractOptions(WireOptions):
       ``False`` exists for benchmarking and debugging);
     * ``chunk_size`` — read granularity for streaming sources;
     * ``limits`` — resource bounds for the pass, as in
-      :class:`repro.api.PruneOptions`;
-    * ``fallback`` — the fast path's graceful degradation to the event
-      pipeline, as in :class:`repro.api.PruneOptions` (``"force"`` skips
-      the fast attempt — the differential tests' knob).
+      :class:`repro.api.PruneOptions`.
 
     ``to_wire``/``from_wire`` give the JSON form the service protocol
     ships (see :class:`repro.run.WireOptions`).
@@ -88,7 +85,6 @@ class ExtractOptions(WireOptions):
     fast: bool = True
     chunk_size: int = DEFAULT_CHUNK_SIZE
     limits: "Limits | str | None" = None
-    fallback: "bool | str" = True
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
@@ -215,7 +211,6 @@ def extract(
     fast: bool | None = None,
     chunk_size: int | None = None,
     limits: "Limits | str | None" = None,
-    fallback: "bool | str | None" = None,
     cache: ProjectorCache | None = None,
     ledger: "Ledger | None" = None,
     provenance: "dict[str, Any] | None" = None,
@@ -238,8 +233,7 @@ def extract(
     """
     opts = resolve_options(
         options, DEFAULT_EXTRACT_OPTIONS,
-        format=format, fast=fast, chunk_size=chunk_size,
-        limits=limits, fallback=fallback,
+        format=format, fast=fast, chunk_size=chunk_size, limits=limits,
     )
     kind = source_kind(source)
     if getattr(grammar, "on_stray", None) is not None:

@@ -31,21 +31,6 @@ class ExtractStats:
             "bytes_out": self.bytes_out,
         }
 
-    def snapshot(self) -> tuple:
-        """Capture the counters so an aborted fast pass can be rolled
-        back before the event-pipeline retry re-reads the document."""
-        return (
-            self.rows_out, self.fields_out, self.nulls_out,
-            self.bytes_in, self.bytes_out,
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Roll the counters back to a :meth:`snapshot`."""
-        (
-            self.rows_out, self.fields_out, self.nulls_out,
-            self.bytes_in, self.bytes_out,
-        ) = snap
-
     def merge(self, other: "ExtractStats") -> "ExtractStats":
         """Accumulate another pass's counters into this one (corpus-level
         aggregation for :func:`repro.parallel.extract_many`); returns

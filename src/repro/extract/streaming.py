@@ -19,10 +19,11 @@ Two stages, matching the spec's split:
   element matching its row-relative path, then captures its attribute,
   its direct text, or its whole-subtree text, and goes dormant.
 
-The pass itself — the fused scan, its fallback to the event pipeline
-(``parse_events`` → :class:`~repro.projection.streaming.StreamingPruner`)
-on oversized tokens, sources, sinks and the ledger — is the run path
-shared with markup pruning (:mod:`repro.run`); the record assembler
+The pass itself — the fused scan or, with ``fast=False``, the event
+pipeline (``parse_events`` →
+:class:`~repro.projection.streaming.StreamingPruner`), sources, sinks and
+the ledger — is the run path shared with markup pruning
+(:mod:`repro.run`); the record assembler
 (:class:`repro.extract.api.RecordAssembler`) is its consumer here.
 """
 

@@ -46,7 +46,9 @@ class Limits:
       bulk-skipped subtrees count too, so a hostile document cannot hide
       pathological nesting inside a discarded region);
     * ``max_token_bytes`` — maximum size of one lexical token: a tag with
-      its attributes, one text run, a comment, a CDATA section;
+      all its attributes, one text run, a comment, a CDATA section.  Both
+      pipelines read a tag with one reader, so they refuse the same
+      tags;
     * ``max_input_bytes`` / ``max_output_bytes`` — total input consumed /
       output produced by the pass;
     * ``deadline`` — wall-clock seconds the pass may run for.
@@ -248,10 +250,3 @@ class LimitGuard:
     def check_depth(self, depth: int) -> None:
         if self.max_depth is not None and depth > self.max_depth:
             raise LimitExceeded("depth", depth, self.max_depth)
-
-    def rewind(self) -> None:
-        """Reset the size counters for a fallback re-run of the same pass
-        (the deadline keeps running: wall clock is per *call*, and a
-        retry must not double the time budget)."""
-        self._input = 0
-        self._output = 0

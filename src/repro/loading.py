@@ -43,9 +43,9 @@ carrying the ``on_stray`` escape-hatch policy (``"error"`` refuses
 documents that stray from the inferred grammar, ``"copy"`` passes them
 through verbatim; pruning a stray would be unsound, Theorem 4.5).
 
-The old spellings remain importable from their submodules; the
-package-level re-exports (``repro.grammar_from_text`` and friends) are
-DeprecationWarning shims, per the PR 2 facade pattern.
+The old spellings remain importable from their submodules
+(``repro.dtd.grammar.grammar_from_text`` and friends); 2.0.0 removed
+their package-level re-exports.
 """
 
 from __future__ import annotations

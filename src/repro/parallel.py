@@ -304,7 +304,6 @@ def prune_many(
     prune_attributes: bool | None = None,
     chunk_size: int | None = None,
     limits: "Limits | str | None" = None,
-    fallback: "bool | str | None" = None,
     timeout: float | None = None,
     retry_crashes: bool = False,
     cache: ProjectorCache | None = None,
@@ -322,8 +321,7 @@ def prune_many(
     :func:`_output_paths` for naming); without it the pruned markup is
     collected per item.
 
-    ``limits`` / ``fallback`` apply per item exactly as in
-    :func:`repro.prune`.  ``timeout`` (seconds) bounds each item's wall
+    ``limits`` apply per item exactly as in :func:`repro.prune`.  ``timeout`` (seconds) bounds each item's wall
     clock from the *outside*: a worker stuck past it is killed, that item
     gets a ``BatchError(kind="timeout")``, and the pool is respawned so
     the remaining items still complete (with ``jobs=1`` the timeout folds
@@ -342,7 +340,7 @@ def prune_many(
         resolve_options(
             options, DEFAULT_OPTIONS,
             fast=fast, validate=validate, prune_attributes=prune_attributes,
-            chunk_size=chunk_size, limits=limits, fallback=fallback,
+            chunk_size=chunk_size, limits=limits,
         ),
         jobs, timeout,
     )
@@ -369,7 +367,6 @@ def extract_many(
     fast: bool | None = None,
     chunk_size: int | None = None,
     limits: "Limits | str | None" = None,
-    fallback: "bool | str | None" = None,
     timeout: float | None = None,
     retry_crashes: bool = False,
     cache: ProjectorCache | None = None,
@@ -394,8 +391,7 @@ def extract_many(
     opts = _per_item_deadline(
         resolve_options(
             options, DEFAULT_EXTRACT_OPTIONS,
-            format=format, fast=fast, chunk_size=chunk_size,
-            limits=limits, fallback=fallback,
+            format=format, fast=fast, chunk_size=chunk_size, limits=limits,
         ),
         jobs, timeout,
     )

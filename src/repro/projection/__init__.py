@@ -1,8 +1,7 @@
 """Type-driven projection: in-memory (Def 2.7) and streaming pruning.
 
 The unified streaming entry point is :func:`repro.prune` (see
-:mod:`repro.api`); ``prune_events`` / ``prune_stream`` / ``prune_file`` /
-``prune_string`` remain as deprecated aliases.
+:mod:`repro.api`).
 """
 
 from repro import _lazy
@@ -17,10 +16,6 @@ _EXPORTS = {
     "compare_documents": "repro.projection.stats",
     "measure_document": "repro.projection.stats",
     "prune_document": "repro.projection.tree",
-    "prune_events": "repro.projection.streaming",
-    "prune_file": "repro.projection.streaming",
-    "prune_stream": "repro.projection.streaming",
-    "prune_string": "repro.projection.streaming",
     "prune_tree": "repro.projection.tree",
 }
 

@@ -1,6 +1,6 @@
 """Fused parse → prune → serialize fast path.
 
-The event pipeline (``parse_events → prune_events → write_events``) builds
+The event pipeline (``parse_events → StreamingPruner → write_events``) builds
 an :class:`~repro.xmltree.events.Event` object for every node of the
 *input* document — including every node of subtrees the projector is
 about to discard.  Profiling shows parsing dominates the pipeline, so the
@@ -18,7 +18,9 @@ fast path fuses all three stages onto the scanner:
   CDATA, processing instructions, a DOCTYPE, markup straddling a chunk
   edge or over the token limit, malformed markup) goes to one
   per-construct reader, :func:`_read_token`, which returns the same
-  token shape, so tag handling exists once per loop;
+  token shape, so tag handling exists once per loop.  It reads tags with
+  the event parser's tag reader (:func:`~repro.xmltree.parser.
+  read_start_tag`), so both pipelines refuse the same tags alike;
 * pruned subtrees are **bulk-skipped**: only a tag stack is maintained
   for well-formedness (tag nesting, attribute syntax, entity references,
   comment/CDATA termination are still checked) — no events and no
@@ -61,47 +63,45 @@ from repro.xmltree.events import (
     StartElement,
 )
 from repro.xmltree.lexer import DEFAULT_CHUNK_SIZE, Scanner, Source
-from repro.xmltree.parser import EventParser, expand_entities, expand_entity
+from repro.xmltree.parser import (
+    _ATTR_RE,
+    _ATTRIBUTES,
+    _NAME,
+    _NAME_CHAR,
+    _S,
+    EventParser,
+    check_unique,
+    expand_entities,
+    expand_entity,
+    parse_attributes,
+    read_end_tag,
+    read_start_tag,
+)
 from repro.xmltree.serializer import WRITE_BUFFER_SIZE, escape_attribute, escape_text
 
-# The scanner's name alphabet (ASCII subset + full non-ASCII passthrough)
-# as a regex, so a whole tag read in bulk can be split in one match
-# instead of per-character ``read_name`` calls.  Each position is one
-# class, not an alternation of an ASCII class and ``[^\x00-\x7f]``, which
-# matches faster; it is spelled as the ASCII characters it excludes,
-# because a class ranging up to U+10FFFF takes ~10 ms to compile.
-_NAME_START = r"[^\x00-\x39\x3b-\x40\x5b-\x5e\x60\x7b-\x7f]"  # A-Z a-z _ : non-ASCII
-_NAME_CHAR = r"[^\x00-\x2c\x2f\x3b-\x40\x5b-\x5e\x60\x7b-\x7f]"  # also 0-9 . -
-_NAME = _NAME_START + _NAME_CHAR + "*"
-_ATTRIBUTES = r"(?:\s+" + _NAME + r"\s*=\s*(?:\"[^\"]*\"|'[^']*'))*"
-_START_TAG_RE = re.compile(r"(" + _NAME + r")(" + _ATTRIBUTES + r")\s*\Z")
-_ATTR_RE = re.compile(r"\s+(" + _NAME + r")\s*=\s*(?:\"([^\"]*)\"|'([^']*)')")
-_END_TAG_RE = re.compile(r"(" + _NAME + r")\s*\Z")
-# Closing tag with its leading '/', as the skip loop reads it.
-_CLOSE_TAG_RE = re.compile(r"/(" + _NAME + r")\s*\Z")
 #: The tokenizer: plain character data (no ``<``, no ``&``) followed by a
 #: plain end tag or start tag, in the groups ``(text, closing, tag,
 #: attributes, slash, leaf)``.  A start tag followed by character data
 #: without ``<`` or ``&`` and its own end tag (a backreference to the start
 #: tag's name) is a *text-only leaf*, matched as one token with the text in
 #: ``leaf``; ``leaf`` is ``None`` for every other token, and ``slash`` is
-#: ``None`` when there is none.  Built from the same pieces as the
-#: per-construct regexes above, it accepts a strict subset of what they
-#: accept and splits it into the same groups (a leaf read the hard way is
-#: two tokens: its start tag, then its text and end tag); everything else
-#: is a miss.
+#: ``None`` when there is none.  Built from the same pieces as the tag
+#: reader's regexes (:mod:`repro.xmltree.parser`), it accepts a strict
+#: subset of what that reader accepts and splits it into the same groups
+#: (a leaf read the hard way is two tokens: its start tag, then its text
+#: and end tag); everything else is a miss.
 _TOKEN_RE = re.compile(
-    r"([^<&]*)<(?:/(" + _NAME + r")\s*"
-    r"|(" + _NAME + r")(" + _ATTRIBUTES + r")\s*"
-    r"(?:(/)|>([^<&]*)</\3(?!" + _NAME_CHAR + r")\s*)?)>"
+    r"([^<&]*)<(?:/(" + _NAME + r")" + _S + r"*"
+    r"|(" + _NAME + r")(" + _ATTRIBUTES + r")" + _S + r"*"
+    r"(?:(/)|>([^<&]*)</\3(?!" + _NAME_CHAR + r")" + _S + r"*)?)>"
 )
 #: The skip loop's tokenizer: :data:`_TOKEN_RE` with each text captured
 #: only as its first character, which tells whether it is empty — a
 #: skipped region keeps no text, so none is copied out of the buffer.
 _SKIP_TOKEN_RE = re.compile(
-    r"([^<&]?)[^<&]*<(?:/(" + _NAME + r")\s*"
-    r"|(" + _NAME + r")(" + _ATTRIBUTES + r")\s*"
-    r"(?:(/)|>([^<&]?)[^<&]*</\3(?!" + _NAME_CHAR + r")\s*)?)>"
+    r"([^<&]?)[^<&]*<(?:/(" + _NAME + r")" + _S + r"*"
+    r"|(" + _NAME + r")(" + _ATTRIBUTES + r")" + _S + r"*"
+    r"(?:(/)|>([^<&]?)[^<&]*</\3(?!" + _NAME_CHAR + r")" + _S + r"*)?)>"
 )
 
 #: What :func:`_read_token` returns for a CDATA section or processing
@@ -187,18 +187,8 @@ def _read_token(
     scanner.advance()  # '<' — text runs stop only at '<' or EOF
     char = scanner.peek()
     if char == "/":
-        if skipping:
-            raw = scanner.read_tag_content("closing tag")  # includes '/'
-            match = _CLOSE_TAG_RE.match(raw)
-            if match is None:
-                raise scanner.error(f"malformed closing tag <{raw[:20]}>")
-        else:
-            scanner.advance()
-            raw = scanner.read_tag_content("closing tag")
-            match = _END_TAG_RE.match(raw)
-            if match is None:
-                raise scanner.error(f"malformed closing tag </{raw[:20]}>")
-        return text, match.group(1), None, None, None, None
+        scanner.advance()
+        return text, read_end_tag(scanner), None, None, None, None
     if char == "!":
         scanner.advance()
         if scanner.try_consume("--"):
@@ -230,13 +220,8 @@ def _read_token(
         return text, None, None, None, None, ProcessingInstruction(target, data)
     if seen_root and not depth:
         raise scanner.error("multiple root elements")
-    raw = scanner.read_tag_content("start tag")
-    empty = raw.endswith("/")
-    content = raw[:-1] if empty else raw
-    match = _START_TAG_RE.match(content)
-    if match is None:
-        raise scanner.error(f"malformed start tag <{content[:20]}>")
-    return text, None, match.group(1), match.group(2), "/" if empty else "", None
+    tag, attributes, empty = read_start_tag(scanner)
+    return text, None, tag, attributes, "/" if empty else "", None
 
 
 def _governor(guard: "LimitGuard | None") -> tuple[Callable[[], None] | None, int]:
@@ -267,14 +252,6 @@ def _commit_start_tag(
     begins."""
     if match is not None:
         scanner.consume_to(match.end() if leaf is None else match.start(6))
-
-
-def _check_duplicates(scanner: Scanner, tag: str, names: list[str]) -> None:
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise scanner.error(f"duplicate attribute {name!r} on <{tag}>")
-        seen.add(name)
 
 
 class FastPruner:
@@ -440,7 +417,7 @@ class FastPruner:
                     # pipeline's parser runs ahead of its pruner.
                     if attrs_text:
                         _commit_start_tag(scanner, match, leaf)
-                        self._validate_skipped_attributes(scanner, tag, attrs_text)
+                        parse_attributes(scanner, tag, attrs_text)
                     raise ValidationError(f"undeclared element <{tag}>")
                 seen_root = True
                 elements_in += 1
@@ -492,9 +469,9 @@ class FastPruner:
                             attributes_in += 1  # one attribute, nothing to check
                         else:
                             _commit_start_tag(scanner, match, leaf)
-                            attributes_in += self._validate_skipped_attributes(
+                            attributes_in += parse_attributes(
                                 scanner, tag, attrs_text
-                            )
+                            )[1]
                     if leaf is not None:  # the whole element, skipped at once
                         if len(open_kept) + 1 > max_depth:
                             guard.check_depth(len(open_kept) + 1)  # type: ignore[union-attr]
@@ -589,9 +566,9 @@ class FastPruner:
         self, source: Source, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> Iterator[Event]:
         """The same fused traversal as an event stream: identical to
-        ``prune_events(parse_events(source), ...)`` but pruned subtrees
-        are bulk-skipped instead of parsed into events.  The stats are
-        complete when :class:`EndDocument` is yielded."""
+        ``StreamingPruner(...).process(parse_events(source))`` but pruned
+        subtrees are bulk-skipped instead of parsed into events.  The
+        stats are complete when :class:`EndDocument` is yielded."""
         guard = self.guard
         tick, max_depth = _governor(guard)
         scanner = Scanner(source, chunk_size, guard=guard)
@@ -662,7 +639,7 @@ class FastPruner:
                 if child is None:
                     if attrs_text:
                         _commit_start_tag(scanner, match, leaf)
-                        self._validate_skipped_attributes(scanner, tag, attrs_text)
+                        parse_attributes(scanner, tag, attrs_text)
                     raise ValidationError(f"undeclared element <{tag}>")
                 seen_root = True
                 elements_in += 1
@@ -670,7 +647,7 @@ class FastPruner:
                 if child.keep:
                     if attrs_text:
                         _commit_start_tag(scanner, match, leaf)
-                        attributes, count_in = self._collect_attributes(
+                        attributes, count_in = parse_attributes(
                             scanner, tag, attrs_text, child.prunable
                         )
                         attributes_in += count_in
@@ -702,9 +679,9 @@ class FastPruner:
                             attributes_in += 1  # one attribute, nothing to check
                         else:
                             _commit_start_tag(scanner, match, leaf)
-                            attributes_in += self._validate_skipped_attributes(
+                            attributes_in += parse_attributes(
                                 scanner, tag, attrs_text
-                            )
+                            )[1]
                     if leaf is not None:  # the whole element, skipped at once
                         if len(open_kept) + 1 > max_depth:
                             guard.check_depth(len(open_kept) + 1)  # type: ignore[union-attr]
@@ -755,7 +732,10 @@ class FastPruner:
     ) -> tuple[str, int, int]:
         """Serialize a kept element's attributes (filtered and
         re-escaped); returns ``(markup, attributes seen, attributes
-        kept)``."""
+        kept)``.  The write loop's twin of
+        :func:`~repro.xmltree.parser.parse_attributes`, with the same
+        checks in the same order, rendering as it goes instead of
+        building a dict."""
         pieces: list[str] = []
         names: list[str] = []
         count_out = 0
@@ -771,46 +751,8 @@ class FastPruner:
                 count_out += 1
                 pieces.append(f' {name}="{escape_attribute(value)}"')
         if len(names) > 1:
-            _check_duplicates(scanner, tag, names)
+            check_unique(scanner, tag, names)
         return "".join(pieces), len(names), count_out
-
-    def _collect_attributes(
-        self, scanner: Scanner, tag: str, attrs_text: str, prunable: frozenset[str]
-    ) -> tuple[dict[str, str], int]:
-        """Like :meth:`_render_attributes` but producing the (filtered)
-        attribute dict for the event stream."""
-        attributes: dict[str, str] = {}
-        names: list[str] = []
-        for match in _ATTR_RE.finditer(attrs_text):
-            name = match.group(1)
-            value = match.group(2)
-            if value is None:
-                value = match.group(3)
-            names.append(name)
-            if "&" in value:
-                value = expand_entities(value, scanner)
-            if name not in prunable:
-                attributes[name] = value
-        if len(names) > 1:
-            _check_duplicates(scanner, tag, names)
-        return attributes, len(names)
-
-    def _validate_skipped_attributes(
-        self, scanner: Scanner, tag: str, attrs_text: str
-    ) -> int:
-        """Well-formedness checks (entity validity, uniqueness) for a
-        discarded element's attributes; returns how many there were."""
-        names: list[str] = []
-        for match in _ATTR_RE.finditer(attrs_text):
-            names.append(match.group(1))
-            value = match.group(2)
-            if value is None:
-                value = match.group(3)
-            if "&" in value:
-                expand_entities(value, scanner)  # validate references
-        if len(names) > 1:
-            _check_duplicates(scanner, tag, names)
-        return len(names)
 
     # -- bulk skipping -----------------------------------------------------
 
@@ -874,7 +816,7 @@ class FastPruner:
                         attributes += 1  # one attribute, nothing to check
                     else:
                         _commit_start_tag(scanner, match, leaf)
-                        attributes += self._validate_skipped_attributes(scanner, tag, attrs_text)
+                        attributes += parse_attributes(scanner, tag, attrs_text)[1]
                 if leaf is not None:  # the whole element at once
                     if base_depth + len(open_tags) + 1 > max_depth:
                         self.guard.check_depth(base_depth + len(open_tags) + 1)  # type: ignore[union-attr]

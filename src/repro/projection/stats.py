@@ -70,26 +70,8 @@ class PruneStats:
             "tags_out": len(self.distinct_tags_out),
         }
 
-    def snapshot(self) -> tuple:
-        """Capture the counters so an aborted pass can be rolled back
-        (the fast→streaming fallback re-reads the document and must not
-        double-count what the abandoned fast pass already saw)."""
+    def __getstate__(self) -> tuple:
         return (
-            self.elements_in,
-            self.elements_out,
-            self.texts_in,
-            self.texts_out,
-            self.attributes_in,
-            self.attributes_out,
-            self.bytes_in,
-            self.bytes_out,
-            set(self.distinct_tags_in),
-            set(self.distinct_tags_out),
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Roll the counters back to a :meth:`snapshot`."""
-        (
             self.elements_in,
             self.elements_out,
             self.texts_in,
@@ -100,18 +82,26 @@ class PruneStats:
             self.bytes_out,
             self.distinct_tags_in,
             self.distinct_tags_out,
-        ) = snap
-
-    def __getstate__(self) -> tuple:
-        return self.snapshot()
+        )
 
     def __setstate__(self, state: tuple) -> None:
         # Unpickling is how per-document stats reach the parent of a
         # batch: intern the tag names, so a result set holds one copy of
         # each name instead of one per document.
-        self.restore(state)
-        self.distinct_tags_in = {sys.intern(tag) for tag in self.distinct_tags_in}
-        self.distinct_tags_out = {sys.intern(tag) for tag in self.distinct_tags_out}
+        (
+            self.elements_in,
+            self.elements_out,
+            self.texts_in,
+            self.texts_out,
+            self.attributes_in,
+            self.attributes_out,
+            self.bytes_in,
+            self.bytes_out,
+            tags_in,
+            tags_out,
+        ) = state
+        self.distinct_tags_in = {sys.intern(tag) for tag in tags_in}
+        self.distinct_tags_out = {sys.intern(tag) for tag in tags_out}
 
     def merge(self, other: "PruneStats") -> "PruneStats":
         """Accumulate another pass's counters into this one (corpus-level

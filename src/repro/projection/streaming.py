@@ -8,7 +8,7 @@ generated by any of the names in the projector)".
 The pruner is an event-stream transformer, so it composes with the
 streaming parser and serializer into a constant-memory pipeline::
 
-    parse_events(file) → prune_events(...) → write_events(file)
+    parse_events(file) → StreamingPruner(...).process → write_events(file)
 
 Because a DTD is a *local* tree grammar, the interpretation of a node is
 fully determined by its tag (elements) or its parent's tag (text): no
@@ -24,11 +24,7 @@ as ``repro.prune``), a thin adapter over the shared run path
 (:mod:`repro.run`): it routes through the fused fast path by default
 (``fast=False`` forces the event pipeline, e.g. for benchmarking), while
 validation always uses the event pipeline because the validator must see
-every event, including those inside pruned subtrees.  The former
-per-source entry points (``prune_string``/``prune_file``/``prune_stream``/
-``prune_events``) remain as deprecated shims over the run path (unguarded,
-``limits="off"``, with the source kind their signatures fix) and over
-:func:`_prune_events`.
+every event, including those inside pruned subtrees.
 
 Every pruning pass reports through :mod:`repro.obs`: a ``"prune"`` span
 carrying the :class:`~repro.projection.stats.PruneStats` counters and a
@@ -37,8 +33,7 @@ carrying the :class:`~repro.projection.stats.PruneStats` counters and a
 
 from __future__ import annotations
 
-import warnings
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.dtd.grammar import Grammar
 from repro.dtd.validator import EventValidator
@@ -49,14 +44,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.limits import LimitGuard
 from repro.projection.prunetable import PruneTable, TagPlan, compile_prune_table
 from repro.projection.stats import PruneStats
-from repro.run import MARKUP, PATH, STREAM, execute, resolve_options
 from repro.xmltree.events import (
     Characters,
     EndElement,
     Event,
     StartElement,
 )
-from repro.xmltree.lexer import Source
 
 
 class StreamingPruner:
@@ -219,95 +212,3 @@ def _traced_events(iterator, pruner: StreamingPruner, tracer) -> Iterator[Event]
         if pruner.stats is not None:
             span.merge_counters(pruner.stats.as_counters())
         span.finish()
-
-
-# -- deprecated per-source entry points ---------------------------------------
-
-
-def _deprecated(old: str, hint: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {hint} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def prune_events(
-    events: Iterable[Event],
-    grammar: Grammar,
-    projector: frozenset[str] | set[str],
-    validate: bool = False,
-    stats: PruneStats | None = None,
-) -> Iterator[Event]:
-    """Deprecated: use ``repro.prune(events, grammar, projector)``."""
-    _deprecated("prune_events", "repro.prune(events, grammar, projector).events")
-    return _prune_events(events, grammar, projector, validate=validate, stats=stats)
-
-
-def _run_unguarded(
-    source: object,
-    kind: str,
-    out: "str | IO[str] | None",
-    grammar: Grammar,
-    projector: frozenset[str] | set[str],
-    **overrides: object,
-):
-    """Run a deprecated entry point through the shared run path,
-    unguarded as these entry points always were.  The source kind is the
-    one the entry point's signature fixes, never read off the content:
-    ``prune_string`` parses its string as markup even when it looks like
-    a file name."""
-    from repro.api import DEFAULT_OPTIONS, MarkupWriter
-
-    options = resolve_options(None, DEFAULT_OPTIONS, limits="off", **overrides)
-    return execute(MarkupWriter(grammar, projector, options), source, kind, out)
-
-
-def prune_stream(
-    source: Source,
-    sink: IO[str],
-    grammar: Grammar,
-    projector: frozenset[str] | set[str],
-    validate: bool = False,
-    fast: bool = True,
-    chunk_size: int = 1 << 16,
-) -> PruneStats:
-    """Deprecated: use ``repro.prune(source, grammar, projector, out=sink)``."""
-    _deprecated("prune_stream", "repro.prune(source, grammar, projector, out=sink)")
-    # Whatever the source, it is read as it is and not measured
-    # (``bytes_in`` stays 0), a string included.
-    return _run_unguarded(
-        source, STREAM, sink, grammar, projector,
-        validate=validate, fast=fast, chunk_size=chunk_size,
-    ).stats
-
-
-def prune_file(
-    input_path: str,
-    output_path: str,
-    grammar: Grammar,
-    projector: frozenset[str] | set[str],
-    validate: bool = False,
-    fast: bool = True,
-) -> PruneStats:
-    """Deprecated: use ``repro.prune(path, grammar, projector, out=path)``."""
-    _deprecated("prune_file", "repro.prune(input_path, grammar, projector, out=output_path)")
-    return _run_unguarded(
-        input_path, PATH, output_path, grammar, projector,
-        validate=validate, fast=fast,
-    ).stats
-
-
-def prune_string(
-    text: str,
-    grammar: Grammar,
-    projector: frozenset[str] | set[str],
-    validate: bool = False,
-    fast: bool = True,
-) -> tuple[str, PruneStats]:
-    """Deprecated: use ``repro.prune(text, grammar, projector)``."""
-    _deprecated("prune_string", "repro.prune(text, grammar, projector)")
-    result = _run_unguarded(
-        text, MARKUP, None, grammar, projector, validate=validate, fast=fast
-    )
-    return result.text, result.stats

@@ -16,8 +16,10 @@ projector, options) and a finished result, written once for both:
 * the attestation ledger: fingerprint, dedup-serve and record
   (:func:`attest`);
 * the static short-circuit for workloads proven empty;
-* the one fused pass, with its fallback to the event pipeline
-  (:func:`_fast_pass`).
+* the one pass: fused, or the event pipeline (``fast=False``,
+  validation, event sources).  Both read tags with one reader
+  (:mod:`repro.xmltree.parser`), so they refuse the same input with the
+  same error, and a pass is never retried.
 
 Two consumers plug in: :class:`repro.api.MarkupWriter` (the pruned
 markup, via ``FastPruner.write`` or ``write_events``) and
@@ -46,8 +48,6 @@ from typing import IO, TYPE_CHECKING, Any, ClassVar, Iterator
 from repro import obs
 from repro.errors import (
     EncodingError,
-    FastPathUnsupported,
-    LimitExceeded,
     ReproError,
     StrayDocumentError,
     ValidationError,
@@ -215,22 +215,13 @@ def _open_output(path: str) -> Iterator[IO[str]]:
         raise
 
 
-def _stream_position(stream: Any) -> int | None:
-    """``tell()`` if the stream supports it, else ``None`` (not rewindable)."""
-    try:
-        return stream.tell()
-    except (OSError, ValueError, AttributeError):
-        return None
-
-
 class _Output:
     """The run's sink.  Counts the characters written (``bytes_out``),
-    enforces the output-size limit, hashes the output for the ledger when
-    asked, and rewinds to where the run found its target.  It wraps whole
-    buffered flushes — tens of kilobytes each — so its per-call cost
-    never shows up."""
+    enforces the output-size limit and hashes the output for the ledger
+    when asked.  It wraps whole buffered flushes — tens of kilobytes
+    each — so its per-call cost never shows up."""
 
-    __slots__ = ("target", "guard", "hasher", "written", "_start")
+    __slots__ = ("target", "guard", "hasher", "written")
 
     def __init__(self, target: Any, guard: "LimitGuard | None", hashed: bool) -> None:
         self.target = target
@@ -241,7 +232,6 @@ class _Output:
 
             self.hasher = HashingSink()
         self.written = 0
-        self._start = _stream_position(target)
 
     def write(self, text: str) -> int:
         if self.guard is not None:
@@ -250,20 +240,6 @@ class _Output:
             self.hasher.write(text)
         self.written += len(text)
         return self.target.write(text)
-
-    def rewind(self) -> bool:
-        """Take back everything written (the fallback's retry starts
-        clean, hash included); ``False`` when the target cannot seek."""
-        if not self.written:
-            return True
-        if self._start is None:
-            return False
-        self.target.seek(self._start)
-        self.target.truncate()
-        self.written = 0
-        if self.hasher is not None:
-            self.hasher = type(self.hasher)()
-        return True
 
 
 @contextlib.contextmanager
@@ -385,76 +361,21 @@ def _scan(
         consumer.op, mode="fast" if fused else "events", **consumer.span_attrs
     ) as span:
         try:
-            if not (fused and _fast_pass(consumer, source, sink, stats, collect, guard)):
-                if parsed:
-                    # Event input never met a guarded parser: the pruner
-                    # enforces the depth and token bounds itself.
-                    consumer.event_pass(source, sink, stats, guard, collect)
-                else:
-                    events = parse_events(
-                        source, consumer.options.chunk_size, guard=guard
-                    )
-                    consumer.event_pass(events, sink, stats, None, collect)
+            if fused:
+                consumer.fast_pass(source, sink, stats, guard, collect)
+            elif parsed:
+                # Event input never met a guarded parser: the pruner
+                # enforces the depth and token bounds itself.
+                consumer.event_pass(source, sink, stats, guard, collect)
+            else:
+                events = parse_events(source, consumer.options.chunk_size, guard=guard)
+                consumer.event_pass(events, sink, stats, None, collect)
             stats.bytes_out = sink.written
         except UnicodeError as exc:
             if parsed:
                 raise
             raise EncodingError(str(exc)) from exc
         span.merge_counters(stats.as_counters())
-
-
-def _fast_pass(
-    consumer: Any,
-    source: Any,
-    sink: _Output,
-    stats: Any,
-    collect: "list[dict[str, Any]] | None",
-    guard: "LimitGuard | None",
-) -> bool:
-    """The fused pass; ``False`` when it fell back to the event pipeline.
-
-    The fast path's bulk tag scan reads a whole tag — name plus *all*
-    attributes — as one token, so a tag whose attributes together exceed
-    ``max_token_bytes`` trips the token limit even though the event
-    parser (which reads attribute values one by one) would not.  That
-    and the explicit :class:`FastPathUnsupported` signal are the only
-    fallback triggers; depth/input/output/deadline violations would
-    recur in the event pipeline and propagate immediately.
-
-    Falling back rewinds the source and the sink (the output hash
-    restarts with it) to where this call found them, rolls the stats and
-    collected records back, and resets the guard's size counters (the
-    deadline keeps running — a retry must not double the time budget).
-    A source or sink that cannot seek re-raises the original error.
-    ``fallback="force"`` skips the fast attempt entirely — a test knob
-    for proving the degraded path byte-identical to the fast one.
-    """
-    fallback = consumer.options.fallback
-    if fallback != "force":
-        snap = stats.snapshot()
-        rows = len(collect) if collect is not None else 0
-        source_pos = None if isinstance(source, str) else _stream_position(source)
-        try:
-            consumer.fast_pass(source, sink, stats, guard, collect)
-            return True
-        except (FastPathUnsupported, LimitExceeded) as exc:
-            if isinstance(exc, LimitExceeded) and (
-                not fallback or exc.limit != "token_bytes"
-            ):
-                raise
-            if not isinstance(source, str):
-                if source_pos is None:
-                    raise  # can't re-read a non-seekable stream
-                source.seek(source_pos)
-            if not sink.rewind():
-                raise  # flushed output we cannot take back
-            stats.restore(snap)
-            if collect is not None:
-                del collect[rows:]
-            if guard is not None:
-                guard.rewind()
-    obs.count("fastpath.fallbacks")
-    return False
 
 
 # -- the attestation ledger ------------------------------------------------------

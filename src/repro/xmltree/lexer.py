@@ -422,8 +422,10 @@ class Scanner:
     def read_tag_content(self, context: str = "tag") -> str:
         """Consume up to and including the next *unquoted* ``>``,
         returning the text before it.  ``>`` inside a quoted attribute
-        value does not terminate the tag.  Bulk operation — the fused
-        pruner reads whole tags this way instead of char-by-char.
+        value does not terminate the tag.  Bulk operation — both
+        pipelines read every tag this way (the shared tag reader,
+        :func:`repro.xmltree.parser.read_start_tag`), so the whole tag is
+        one token to ``max_token_bytes``.
 
         After a quoted value the delimiter searches are not all made
         again: a hit that still lies ahead of the position is kept, and so

@@ -11,10 +11,16 @@ It is a generator: ``parse_events(source)`` yields events as the input is
 consumed, reading the source in bounded chunks.  Consumers that need a tree
 use :func:`repro.xmltree.builder.build_tree`; consumers that need constant
 memory (the streaming pruner) work directly on the event stream.
+
+Tags are read by one reader, :func:`read_start_tag`/:func:`read_end_tag`
+plus :func:`parse_attributes`, which the fused pruner
+(:mod:`repro.projection.fastpath`) shares: both pipelines accept the same
+tags and refuse the others with the same message, line and column.
 """
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import XMLSyntaxError
@@ -41,6 +47,82 @@ _PREDEFINED_ENTITIES = {
     "apos": "'",
     "quot": '"',
 }
+
+# The tag grammar as regexes, so a tag read in bulk is split in one match.
+# The fused pruner builds its token regexes from the same pieces.  White
+# space is XML's S production: Python's ``\s`` would also take \x0b, \x0c
+# and non-ASCII spaces.  The name alphabet is the scanner's (ASCII subset
+# + full non-ASCII passthrough).  Each name position is one class, not an
+# alternation of an ASCII class and ``[^\x00-\x7f]``, which matches
+# faster; it is spelled as the ASCII characters it excludes, because a
+# class ranging up to U+10FFFF takes ~10 ms to compile.
+_S = r"[ \t\r\n]"
+_NAME_START = r"[^\x00-\x39\x3b-\x40\x5b-\x5e\x60\x7b-\x7f]"  # A-Z a-z _ : non-ASCII
+_NAME_CHAR = r"[^\x00-\x2c\x2f\x3b-\x40\x5b-\x5e\x60\x7b-\x7f]"  # also 0-9 . -
+_NAME = _NAME_START + _NAME_CHAR + "*"
+_ATTRIBUTES = (
+    r"(?:" + _S + "+" + _NAME + _S + "*=" + _S + r"*(?:\"[^\"]*\"|'[^']*'))*"
+)
+_START_TAG_RE = re.compile(r"(" + _NAME + r")(" + _ATTRIBUTES + r")" + _S + r"*\Z")
+_ATTR_RE = re.compile(
+    _S + r"+(" + _NAME + r")" + _S + r"*=" + _S + r"*(?:\"([^\"]*)\"|'([^']*)')"
+)
+_END_TAG_RE = re.compile(r"(" + _NAME + r")" + _S + r"*\Z")
+
+
+def read_start_tag(scanner: Scanner) -> tuple[str, str, bool]:
+    """Read a start tag from after its ``<`` through its ``>``: its name,
+    its attribute text (for :func:`parse_attributes`) and whether it is an
+    empty-element tag.  The whole tag is one token to ``max_token_bytes``."""
+    raw = scanner.read_tag_content("start tag")
+    empty = raw.endswith("/")
+    content = raw[:-1] if empty else raw
+    match = _START_TAG_RE.match(content)
+    if match is None:
+        raise scanner.error(f"malformed start tag <{content[:20]}>")
+    return match.group(1), match.group(2), empty
+
+
+def read_end_tag(scanner: Scanner) -> str:
+    """Read an end tag from after its ``</`` through its ``>``: its name."""
+    raw = scanner.read_tag_content("closing tag")
+    match = _END_TAG_RE.match(raw)
+    if match is None:
+        raise scanner.error(f"malformed closing tag </{raw[:20]}>")
+    return match.group(1)
+
+
+def parse_attributes(
+    scanner: Scanner, tag: str, text: str, prunable: "frozenset[str]" = frozenset()
+) -> tuple[dict[str, str], int]:
+    """The attributes in the attribute text of ``tag``'s start tag, with
+    references expanded, less the names in ``prunable``; and how many
+    there were.  Errors are reported where the scanner stands (the end of
+    the tag); a bad reference in any value wins over a repeated name."""
+    attributes: dict[str, str] = {}
+    names: list[str] = []
+    for match in _ATTR_RE.finditer(text):
+        name = match.group(1)
+        value = match.group(2)
+        if value is None:
+            value = match.group(3)
+        names.append(name)
+        if "&" in value:
+            value = expand_entities(value, scanner)
+        if name not in prunable:
+            attributes[name] = value
+    if len(names) > 1:
+        check_unique(scanner, tag, names)
+    return attributes, len(names)
+
+
+def check_unique(scanner: Scanner, tag: str, names: list[str]) -> None:
+    """Refuse a start tag that repeats an attribute name."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise scanner.error(f"duplicate attribute {name!r} on <{tag}>")
+        seen.add(name)
 
 
 def expand_entities(raw: str, scanner: Scanner | None = None) -> str:
@@ -224,9 +306,7 @@ class EventParser:
             return ProcessingInstruction(target, data)
         if char == "/":
             scanner.advance()
-            tag = scanner.read_name("closing tag")
-            scanner.skip_whitespace()
-            scanner.expect(">", f"</{tag}>")
+            tag = read_end_tag(scanner)
             if not self._open_tags:
                 raise scanner.error(f"closing tag </{tag}> with no open element")
             expected = self._open_tags.pop()
@@ -239,33 +319,17 @@ class EventParser:
         scanner = self._scanner
         if self._seen_root and not self._open_tags:
             raise scanner.error("multiple root elements")
-        tag = scanner.read_name("element name")
-        attributes: dict[str, str] = {}
-        while True:
-            scanner.skip_whitespace()
-            char = scanner.peek()
-            if char == ">":
-                scanner.advance()
-                self._seen_root = True
-                self._open_tags.append(tag)
-                if self._guard is not None:
-                    self._guard.check_depth(len(self._open_tags))
-                return StartElement(tag, attributes)
-            if char == "/":
-                scanner.advance()
-                scanner.expect(">", f"<{tag}/>")
-                self._seen_root = True
-                # An empty-element tag is surfaced as Start followed by End
-                # so downstream consumers see a uniform stream.
-                return _EmptyElement(tag, attributes)
-            name = scanner.read_name("attribute name")
-            scanner.skip_whitespace()
-            scanner.expect("=", f"attribute {name}")
-            scanner.skip_whitespace()
-            value = expand_entities(self._parse_quoted(f"attribute {name}"), scanner)
-            if name in attributes:
-                raise scanner.error(f"duplicate attribute {name!r} on <{tag}>")
-            attributes[name] = value
+        tag, text, empty = read_start_tag(scanner)
+        attributes = parse_attributes(scanner, tag, text)[0] if text else {}
+        self._seen_root = True
+        if empty:
+            # An empty-element tag is surfaced as Start followed by End
+            # so downstream consumers see a uniform stream.
+            return _EmptyElement(tag, attributes)
+        self._open_tags.append(tag)
+        if self._guard is not None:
+            self._guard.check_depth(len(self._open_tags))
+        return StartElement(tag, attributes)
 
     # -- character data -------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """XML serialization: documents or event streams back to markup text.
 
-The streaming pruner composes ``parse_events → prune_events → write_events``
+The streaming pruner composes ``parse_events → StreamingPruner → write_events``
 to rewrite a file with constant memory, so the serializer has both a tree
 entry point (:func:`serialize`) and an event entry point
 (:func:`write_events`).

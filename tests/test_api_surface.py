@@ -73,14 +73,32 @@ def test_public_callables_are_the_canonical_objects():
     assert repro.extract_many is extract_many
 
 
-def test_legacy_names_are_off_the_surface_but_warn():
-    """Nothing deprecated hides in __all__, and every deprecated name
-    still resolves (with its warning) — the shim map and the surface
-    are disjoint by construction."""
-    assert not set(repro._DEPRECATED) & set(repro.__all__)
-    for name in ("grammar_from_text", "parse_document", "serialize"):
-        with pytest.warns(DeprecationWarning):
-            getattr(repro, name)
+#: Names the 1.x package re-exported at the top level, each with a
+#: DeprecationWarning, until 2.0.0 removed them (a sample: the shims and
+#: a few of the re-exports).
+LEGACY = [
+    "FastPruner",
+    "analyze_query",
+    "analyze_xquery",
+    "grammar_from_text",
+    "parse_document",
+    "prune_events",
+    "prune_file",
+    "prune_stream",
+    "prune_string",
+    "serialize",
+    "validate",
+]
+
+
+def test_legacy_names_are_gone():
+    """A 1.x top-level name is an unknown name now: AttributeError, no
+    warning, like any name the package never had."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in [*LEGACY, "definitely_not_a_name"]:
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
 
 
 def test_submodules_stay_importable():
@@ -96,12 +114,6 @@ def test_submodules_stay_importable():
         "repro.service",
     ):
         assert importlib.import_module(module) is not None
-
-
-def test_dir_offers_both_surface_and_shims():
-    names = dir(repro)
-    assert set(EXPECTED) <= set(names)
-    assert "serialize" in names and "grammar_from_text" in names
 
 
 # -- what importing loads ------------------------------------------------------
@@ -172,6 +184,17 @@ def _fresh(code: str, *options: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_dir_offers_the_surface_only():
+    """Of the public names ``dir(repro)`` lists in a fresh interpreter,
+    none is a 1.x name: only the surface, and the ``TYPE_CHECKING``
+    flag the package imports."""
+    listed = json.loads(_fresh("import json, repro; print(json.dumps(dir(repro)))"))
+    public = {name for name in listed if not name.startswith("_")}
+    assert public == {name for name in EXPECTED if not name.startswith("_")} | {
+        "TYPE_CHECKING"
+    }
 
 
 def test_import_repro_loads_nothing_else():

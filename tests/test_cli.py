@@ -147,3 +147,58 @@ class TestVersion:
         out = capsys.readouterr().out
         assert "repro-xml" in out
         assert repro.__version__ in out
+
+
+class TestServerRunsKeepTheirInputs:
+    """A ``--server`` run refuses an output that is one of its inputs
+    exactly as a local run does: exit 1, the same message, and the input
+    untouched — checked before anything is sent or written."""
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        from repro.core.cache import ProjectorCache
+        from repro.service import ServiceConfig, serve_background
+
+        with serve_background(
+            ServiceConfig(port=0, jobs=1), cache=ProjectorCache()
+        ) as background:
+            yield f"127.0.0.1:{background.port}"
+
+    @staticmethod
+    def _refused_alike(argv, server, capsys, inputs):
+        before = {path: path.read_bytes() for path in inputs}
+        assert main(argv) == 1
+        local = capsys.readouterr().err
+        assert "refusing to overwrite" in local
+        assert main([argv[0], "--server", server, *argv[1:]]) == 1
+        assert capsys.readouterr().err == local
+        assert {path: path.read_bytes() for path in inputs} == before
+
+    def test_prune_onto_its_input(self, workspace, server, capsys):
+        tmp_path, dtd, xml = workspace
+        self._refused_alike(
+            ["prune", "--dtd", dtd, "--root", "bib", "--query", "//title", xml, xml],
+            server, capsys, [tmp_path / "bib.xml"],
+        )
+
+    def test_batch_prune_into_its_input_directory(self, workspace, server, capsys):
+        tmp_path, dtd, _ = workspace
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        inputs = []
+        for i in range(3):
+            inputs.append(corpus / f"doc{i}.xml")
+            inputs[-1].write_text(BOOK_XML)
+        self._refused_alike(
+            ["prune", "--dtd", dtd, "--root", "bib", "--query", "//title",
+             str(corpus / "*.xml"), str(corpus)],
+            server, capsys, inputs,
+        )
+
+    def test_extract_onto_its_input(self, workspace, server, capsys):
+        tmp_path, dtd, xml = workspace
+        self._refused_alike(
+            ["extract", "--dtd", dtd, "--root", "bib", "--rows", "/bib/book",
+             "--field", "t=title/text()", xml, "--out", xml],
+            server, capsys, [tmp_path / "bib.xml"],
+        )

@@ -68,10 +68,6 @@ def check_one(seed: int) -> None:
     assert fast == slow, f"seed {seed}: fast path diverged from event pipeline"
 
     # -- limits axis: the governed paths change nothing ------------------
-    # Forced fallback exercises the degradation path end to end: it must
-    # be byte-identical to the fast path it degrades from.
-    forced = prune(markup, grammar, projector, fast=True, fallback="force").text
-    assert forced == fast, f"seed {seed}: forced fallback diverged from fast path"
     # Limits(off) must be bit-for-bit the pre-limits pipeline.
     off = prune(markup, grammar, projector, limits=Limits.off()).text
     assert off == fast, f"seed {seed}: Limits.off() changed the output"
@@ -99,7 +95,7 @@ def check_one(seed: int) -> None:
 
 def check_extract(seed: int) -> None:
     """The extraction analogue of :func:`check_one`: the fused scan, the
-    forced event pipeline, the event-iterable source, and the tree-walk
+    event pipeline, the event-iterable source, and the tree-walk
     reference oracle must all agree record for record."""
     grammar = random_grammar(seed, allow_recursion=(seed % 3 == 0))
     document = random_valid_document(grammar, seed * 31 + 7)
@@ -107,11 +103,11 @@ def check_extract(seed: int) -> None:
     markup = serialize(document)
 
     fused = extract(markup, grammar, spec)
-    forced = extract(markup, grammar, spec, fallback="force")
-    assert fused.text == forced.text, (
+    slow = extract(markup, grammar, spec, fast=False)
+    assert fused.text == slow.text, (
         f"seed {seed}: fused extraction diverged from the event pipeline"
     )
-    assert fused.records == forced.records, f"seed {seed}: records diverged"
+    assert fused.records == slow.records, f"seed {seed}: records diverged"
 
     via_events = extract(parse_events(markup), grammar, spec)
     assert via_events.records == fused.records, (

@@ -18,8 +18,11 @@ comment/CDATA/PI constructs, and raw garbage runs.  Sources are fed as
 streams so even inputs that look like file paths cannot escape into
 filesystem dispatch.
 
-The default run covers 50 seeds (x fast/event path) and rides in the
-normal suite; the 500-seed sweep is marked ``slow``::
+Both pipelines must also agree: per seed, the same output and stats or
+the same error class and message.
+
+The default run covers 50 seeds (x fast/event path, plus their parity)
+and rides in the normal suite; the 500-seed sweep is marked ``slow``::
 
     PYTHONPATH=src python -m pytest tests/test_fuzz_robustness.py -m slow
 """
@@ -217,6 +220,38 @@ def test_fuzz_quick(seed, fast):
 @pytest.mark.parametrize("seed", range(QUICK_SEEDS, FULL_SEEDS))
 def test_fuzz_full(seed, fast):
     _assert_contract(seed, fast)
+
+
+def _outcome(seed: int, fast: bool) -> tuple:
+    """One pipeline's outcome for ``seed``: the output and stats, or the
+    error's class and message (its line and column included).  Without a
+    deadline, so only the input decides."""
+    try:
+        result = prune(
+            io.StringIO(hostile_document(seed)), GRAMMAR, PROJECTOR,
+            fast=fast, limits=LIMITS.replace(deadline=None),
+        )
+    except ReproError as error:
+        return type(error).__name__, str(error)
+    return result.text, result.stats
+
+
+def _assert_parity(seed: int) -> None:
+    fused, events = _outcome(seed, True), _outcome(seed, False)
+    assert fused == events, f"seed {seed} ({hostile_case(seed)[1]})"
+
+
+@pytest.mark.parametrize("seed", range(QUICK_SEEDS))
+def test_pipelines_agree_quick(seed):
+    """The fused pass and the event pipeline read tags with one reader,
+    so on hostile input they give the same output or the same error."""
+    _assert_parity(seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(QUICK_SEEDS, FULL_SEEDS))
+def test_pipelines_agree_full(seed):
+    _assert_parity(seed)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -2,8 +2,8 @@
 
 The fuzz battery (``test_fuzz_robustness.py``) establishes that hostile
 input never escapes the structured-error contract; these tests pin down
-the *specific* semantics: profile contents, which limit trips where, the
-fast-path fallback (rewind, stats rollback, obs counter), and encoding
+the *specific* semantics: profile contents, which limit trips where, a
+wide tag refused alike by both pipelines into every sink, and encoding
 errors.
 """
 
@@ -201,114 +201,117 @@ class TestEnforcement:
         assert prune(_nested(500), grammar, projector, limits="off").text
 
 
-# -- graceful degradation (fast -> events fallback) ---------------------------
+# -- wide tags: one token, refused alike by both pipelines -------------------
 
 
-class TestFallback:
-    def _wide_tag_doc(self, attrs: int = 100) -> str:
-        # Each attribute is small (the event parser reads them one by
-        # one) but the whole tag — which the fast path's bulk scan reads
-        # as ONE token — exceeds the limit.
-        rendered = " ".join(f'a{i}="{"x" * 20}"' for i in range(attrs))
-        return f"<bib><book {rendered}><title>t</title></book></bib>"
+class _Unseekable(io.StringIO):
+    """A sink that cannot seek, like a pipe or a socket."""
 
-    def test_wide_tag_falls_back_and_matches_streaming(self, bib):
-        grammar, projector = bib
-        doc = self._wide_tag_doc()
-        limits = Limits(max_token_bytes=500)
-        with obs.capture() as sink:
-            fast = prune(doc, grammar, projector, limits=limits)
-        slow = prune(doc, grammar, projector, fast=False, limits=limits)
-        assert fast.text == slow.text
-        assert sink.counters().get("fastpath.fallbacks") == 1
+    def seekable(self) -> bool:
+        return False
 
-    def test_fallback_false_surfaces_the_refusal(self, bib):
-        grammar, projector = bib
-        with pytest.raises(LimitExceeded) as info:
-            prune(self._wide_tag_doc(), grammar, projector,
-                  limits=Limits(max_token_bytes=500), fallback=False)
-        assert info.value.limit == "token_bytes"
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
 
-    def test_forced_fallback_counts_and_matches(self, bib):
-        grammar, projector = bib
-        doc = "<bib><book year='1'><title>t</title></book></bib>"
-        with obs.capture() as sink:
-            forced = prune(doc, grammar, projector, fallback="force")
-        assert forced.text == prune(doc, grammar, projector).text
-        assert sink.counters().get("fastpath.fallbacks") == 1
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
 
-    def test_fallback_mid_stream_rewinds_file_source(self, bib, tmp_path):
-        grammar, projector = bib
-        # Put the wide tag deep into the document so the fast path has
-        # consumed plenty of input before tripping.
-        doc = ("<bib>" + "<book><title>t</title></book>" * 200
-               + self._wide_tag_doc()[5:-6] + "</bib>")
-        path = tmp_path / "doc.xml"
-        path.write_text(doc, encoding="utf-8")
-        limits = Limits(max_token_bytes=500)
-        out = tmp_path / "out.xml"
-        result = prune(str(path), grammar, projector, out=str(out), limits=limits)
-        slow = prune(doc, grammar, projector, fast=False, limits=limits)
-        assert out.read_text(encoding="utf-8") == slow.text
-        assert result.stats.elements_out == slow.stats.elements_out
 
-    def test_fallback_rolls_back_stats(self, bib):
-        grammar, projector = bib
-        doc = self._wide_tag_doc()
-        limits = Limits(max_token_bytes=500)
-        fast = prune(doc, grammar, projector, limits=limits).stats
-        slow = prune(doc, grammar, projector, fast=False, limits=limits).stats
-        assert fast.elements_in == slow.elements_in
-        assert fast.attributes_in == slow.attributes_in
-        assert fast.bytes_out == slow.bytes_out
+WIDE_DTD = """
+<!ELEMENT doc (b*)>
+<!ELEMENT b (#PCDATA)>
+"""
+
+#: 20,000 kept elements, then one 1 KB start tag of 40 attributes.  Each
+#: attribute fits in 200 characters; the tag, one token, does not.
+WIDE_DOC = (
+    "<doc>" + "<b>x</b>" * 20_000
+    + "<b " + " ".join(f'a{i}="{"v" * 20}"' for i in range(40)) + ">y</b></doc>"
+)
+WIDE_LIMITS = Limits(max_token_bytes=200)
+
+
+class TestWideTags:
+    """``max_token_bytes`` bounds a tag with all its attributes, in the
+    fused pass and in the event pipeline alike: the wide tag gets the same
+    refusal whatever the pipeline, the operation or the sink."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        from repro import ExtractSpec
+
+        grammar = grammar_from_text(WIDE_DTD, "doc")
+        spec = ExtractSpec(rows="/doc/b", fields={"text": "text()"})
+        return grammar, spec
+
+    @staticmethod
+    def _sinks(tmp_path):
+        return {
+            "string": None,
+            "path": str(tmp_path / "out"),
+            "seekable": io.StringIO(),
+            "unseekable": _Unseekable(),
+        }
 
     @pytest.mark.parametrize("op", ["prune", "extract"])
-    def test_fallback_rewinds_a_ledger_tee(self, bib, tmp_path, op):
-        """The fallback rewinds the caller's stream and restarts the
-        output hash whether or not a ledger tees the output: bytes and
-        stats equal the ledger-free run's, and the one appended entry
-        attests the sink's final text."""
-        from repro import ExtractSpec, extract
-        from repro.ledger import Ledger
-        from repro.ledger.canonical import hash_text
+    def test_every_pipeline_and_sink_refuses_alike(self, wide, tmp_path, op):
+        from repro import extract
 
+        grammar, spec = wide
+        refusals = set()
+        for fast in (True, False):
+            for name, sink in self._sinks(tmp_path).items():
+                with pytest.raises(LimitExceeded) as refused:
+                    if op == "prune":
+                        prune(WIDE_DOC, grammar, {"doc", "b"}, out=sink,
+                              fast=fast, limits=WIDE_LIMITS)
+                    else:
+                        extract(WIDE_DOC, grammar, spec, out=sink,
+                                fast=fast, limits=WIDE_LIMITS)
+                assert refused.value.limit == "token_bytes", (fast, name)
+                refusals.add(str(refused.value))
+                if name == "path":
+                    assert not (tmp_path / "out").exists()
+        assert refusals == {"token_bytes limit exceeded: 209 > 200"}
+
+    def test_default_surfaces_the_refusal(self, bib):
+        """The wide tag is refused by default: no option turns the
+        fused pass into a second pass."""
         grammar, projector = bib
-        # Enough output ahead of the wide tag that the fast pass has
-        # already written to the caller's sink when it trips (markup is
-        # flushed every 64 KB, records row by row).
-        books = 20000 if op == "prune" else 3
-        doc = ("<bib>" + "<book><title>t</title></book>" * books
-               + self._wide_tag_doc()[5:-6] + "</bib>")
-        limits = Limits(max_token_bytes=500)
-        if op == "prune":
-            def run(**kw):
-                return prune(doc, grammar, projector, limits=limits, **kw)
-        else:
-            spec = ExtractSpec(rows="/bib/book", fields={"title": "title/text()"})
+        rendered = " ".join(f'a{i}="{"x" * 20}"' for i in range(100))
+        doc = f"<bib><book {rendered}><title>t</title></book></bib>"
+        with pytest.raises(LimitExceeded) as info:
+            prune(doc, grammar, projector, limits=Limits(max_token_bytes=500))
+        assert info.value.limit == "token_bytes"
 
-            def run(**kw):
-                return extract(doc, grammar, spec, limits=limits, **kw)
-        plain_sink = io.StringIO()
-        plain = run(out=plain_sink)
-        sink = io.StringIO()
-        with Ledger(tmp_path / "ledger.jsonl", fsync=False) as ledger:
-            with obs.capture() as trace:
-                attested = run(out=sink, ledger=ledger)
-            assert ledger.appended == 1 and len(ledger) == 1
-            entry = ledger.entries[0]
-        assert sink.getvalue() == plain_sink.getvalue()
-        assert attested.stats == plain.stats
-        assert entry.output_hash == hash_text(sink.getvalue())
-        assert trace.counters().get("fastpath.fallbacks") == 1
+    def test_batch_reports_a_structured_error(self, wide):
+        from repro import prune_many
 
-    def test_fallback_does_not_extend_the_deadline(self, bib):
-        grammar, projector = bib
-        guard = Limits(deadline=30.0).guard()
-        before = guard.deadline_at
-        guard.add_input(100)
-        guard.rewind()
-        assert guard.deadline_at == before  # rewind keeps the clock running
-        assert guard._input == 0
+        grammar, _ = wide
+        batch = prune_many(
+            [WIDE_DOC, "<doc><b>x</b></doc>"], grammar, {"doc", "b"},
+            jobs=2, limits=WIDE_LIMITS,
+        )
+        assert [(e.index, e.kind, e.message) for e in batch.errors] == [
+            (0, "LimitExceeded", "token_bytes limit exceeded: 209 > 200")
+        ]
+        assert batch.succeeded == 1
+
+    def test_service_reports_a_structured_error(self):
+        from repro.core.cache import ProjectorCache
+        from repro.errors import RemoteError
+        from repro.service import ServiceClient, ServiceConfig, serve_background
+
+        config = ServiceConfig(port=0, jobs=1)
+        with serve_background(config, cache=ProjectorCache()) as background:
+            with ServiceClient("127.0.0.1", background.port) as client:
+                with pytest.raises(RemoteError) as refused:
+                    client.prune(WIDE_DOC, dtd=WIDE_DTD, root="doc",
+                                 projector=["doc", "b"], limits=WIDE_LIMITS)
+        assert refused.value.remote_type == "LimitExceeded"
+        assert str(refused.value) == (
+            "LimitExceeded: token_bytes limit exceeded: 209 > 200"
+        )
 
 
 # -- encoding hostility --------------------------------------------------------

@@ -318,6 +318,27 @@ class TestRequests:
             assert response["error"]["type"] == "ProtocolError"
             assert "warp_speed" in response["error"]["message"]
 
+    @pytest.mark.parametrize("op", ["prune", "extract"])
+    def test_removed_fallback_option_is_a_protocol_error(self, server, op):
+        """2.0.0 removed ``fallback``: a 1.x client that sends it gets a
+        400 naming the option, not a silently different run."""
+        frame = {
+            "id": 1, "op": op, "source": BOOK_XML,
+            "grammar": {"dtd": BOOK_DTD, "root": "bib"},
+            "options": {"fallback": False},
+        }
+        if op == "prune":
+            frame["queries"] = [QUERY]
+        else:
+            frame["spec"] = {"rows": "/bib/book", "fields": {"t": "title/text()"}}
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            send_frame(sock, frame)
+            response = recv_frame(sock)
+        assert response is not None and response["ok"] is False
+        assert response["error"]["type"] == "ProtocolError"
+        assert response["error"]["code"] == 400
+        assert "fallback" in response["error"]["message"]
+
 
 def test_client_cannot_relax_the_server_limits_profile():
     """The effective bounds are the intersection: a client asking for a
