@@ -321,8 +321,9 @@ def prune_many(
     :func:`_output_paths` for naming); without it the pruned markup is
     collected per item.
 
-    ``limits`` apply per item exactly as in :func:`repro.prune`.  ``timeout`` (seconds) bounds each item's wall
-    clock from the *outside*: a worker stuck past it is killed, that item
+    ``limits`` applies per item exactly as in :func:`repro.prune`.
+    ``timeout`` (seconds) bounds each item's wall clock from the
+    *outside*: a worker stuck past it is killed, that item
     gets a ``BatchError(kind="timeout")``, and the pool is respawned so
     the remaining items still complete (with ``jobs=1`` the timeout folds
     into the per-item limits deadline instead — there is no worker to

@@ -19,8 +19,9 @@ fast path fuses all three stages onto the scanner:
   edge or over the token limit, malformed markup) goes to one
   per-construct reader, :func:`_read_token`, which returns the same
   token shape, so tag handling exists once per loop.  It reads tags with
-  the event parser's tag reader (:func:`~repro.xmltree.parser.
-  read_start_tag`), so both pipelines refuse the same tags alike;
+  the event parser's tag reader (``_read_start_tag`` and ``_read_end_tag``
+  in :mod:`repro.xmltree.parser`), so both pipelines refuse the same
+  tags alike;
 * pruned subtrees are **bulk-skipped**: only a tag stack is maintained
   for well-formedness (tag nesting, attribute syntax, entity references,
   comment/CDATA termination are still checked) — no events and no
@@ -70,12 +71,12 @@ from repro.xmltree.parser import (
     _NAME_CHAR,
     _S,
     EventParser,
-    check_unique,
+    _check_unique,
+    _parse_attributes,
+    _read_end_tag,
+    _read_start_tag,
     expand_entities,
     expand_entity,
-    parse_attributes,
-    read_end_tag,
-    read_start_tag,
 )
 from repro.xmltree.serializer import WRITE_BUFFER_SIZE, escape_attribute, escape_text
 
@@ -188,7 +189,7 @@ def _read_token(
     char = scanner.peek()
     if char == "/":
         scanner.advance()
-        return text, read_end_tag(scanner), None, None, None, None
+        return text, _read_end_tag(scanner), None, None, None, None
     if char == "!":
         scanner.advance()
         if scanner.try_consume("--"):
@@ -220,7 +221,7 @@ def _read_token(
         return text, None, None, None, None, ProcessingInstruction(target, data)
     if seen_root and not depth:
         raise scanner.error("multiple root elements")
-    tag, attributes, empty = read_start_tag(scanner)
+    tag, attributes, empty = _read_start_tag(scanner)
     return text, None, tag, attributes, "/" if empty else "", None
 
 
@@ -417,7 +418,7 @@ class FastPruner:
                     # pipeline's parser runs ahead of its pruner.
                     if attrs_text:
                         _commit_start_tag(scanner, match, leaf)
-                        parse_attributes(scanner, tag, attrs_text)
+                        _parse_attributes(scanner, tag, attrs_text)
                     raise ValidationError(f"undeclared element <{tag}>")
                 seen_root = True
                 elements_in += 1
@@ -469,7 +470,7 @@ class FastPruner:
                             attributes_in += 1  # one attribute, nothing to check
                         else:
                             _commit_start_tag(scanner, match, leaf)
-                            attributes_in += parse_attributes(
+                            attributes_in += _parse_attributes(
                                 scanner, tag, attrs_text
                             )[1]
                     if leaf is not None:  # the whole element, skipped at once
@@ -639,7 +640,7 @@ class FastPruner:
                 if child is None:
                     if attrs_text:
                         _commit_start_tag(scanner, match, leaf)
-                        parse_attributes(scanner, tag, attrs_text)
+                        _parse_attributes(scanner, tag, attrs_text)
                     raise ValidationError(f"undeclared element <{tag}>")
                 seen_root = True
                 elements_in += 1
@@ -647,7 +648,7 @@ class FastPruner:
                 if child.keep:
                     if attrs_text:
                         _commit_start_tag(scanner, match, leaf)
-                        attributes, count_in = parse_attributes(
+                        attributes, count_in = _parse_attributes(
                             scanner, tag, attrs_text, child.prunable
                         )
                         attributes_in += count_in
@@ -679,7 +680,7 @@ class FastPruner:
                             attributes_in += 1  # one attribute, nothing to check
                         else:
                             _commit_start_tag(scanner, match, leaf)
-                            attributes_in += parse_attributes(
+                            attributes_in += _parse_attributes(
                                 scanner, tag, attrs_text
                             )[1]
                     if leaf is not None:  # the whole element, skipped at once
@@ -733,9 +734,9 @@ class FastPruner:
         """Serialize a kept element's attributes (filtered and
         re-escaped); returns ``(markup, attributes seen, attributes
         kept)``.  The write loop's twin of
-        :func:`~repro.xmltree.parser.parse_attributes`, with the same
-        checks in the same order, rendering as it goes instead of
-        building a dict."""
+        :func:`~repro.xmltree.parser._parse_attributes`, with the same
+        checks in the same order, rendering as it goes: rendering from
+        that function's dict made a keep-all XMark write ~4 % slower."""
         pieces: list[str] = []
         names: list[str] = []
         count_out = 0
@@ -751,7 +752,7 @@ class FastPruner:
                 count_out += 1
                 pieces.append(f' {name}="{escape_attribute(value)}"')
         if len(names) > 1:
-            check_unique(scanner, tag, names)
+            _check_unique(scanner, tag, names)
         return "".join(pieces), len(names), count_out
 
     # -- bulk skipping -----------------------------------------------------
@@ -816,7 +817,7 @@ class FastPruner:
                         attributes += 1  # one attribute, nothing to check
                     else:
                         _commit_start_tag(scanner, match, leaf)
-                        attributes += parse_attributes(scanner, tag, attrs_text)[1]
+                        attributes += _parse_attributes(scanner, tag, attrs_text)[1]
                 if leaf is not None:  # the whole element at once
                     if base_depth + len(open_tags) + 1 > max_depth:
                         self.guard.check_depth(base_depth + len(open_tags) + 1)  # type: ignore[union-attr]

@@ -424,7 +424,7 @@ class Scanner:
         returning the text before it.  ``>`` inside a quoted attribute
         value does not terminate the tag.  Bulk operation — both
         pipelines read every tag this way (the shared tag reader,
-        :func:`repro.xmltree.parser.read_start_tag`), so the whole tag is
+        :func:`repro.xmltree.parser._read_start_tag`), so the whole tag is
         one token to ``max_token_bytes``.
 
         After a quoted value the delimiter searches are not all made

@@ -12,8 +12,8 @@ consumed, reading the source in bounded chunks.  Consumers that need a tree
 use :func:`repro.xmltree.builder.build_tree`; consumers that need constant
 memory (the streaming pruner) work directly on the event stream.
 
-Tags are read by one reader, :func:`read_start_tag`/:func:`read_end_tag`
-plus :func:`parse_attributes`, which the fused pruner
+Tags are read by one reader, :func:`_read_start_tag`/:func:`_read_end_tag`
+plus :func:`_parse_attributes`, which the fused pruner
 (:mod:`repro.projection.fastpath`) shares: both pipelines accept the same
 tags and refuse the others with the same message, line and column.
 """
@@ -70,9 +70,9 @@ _ATTR_RE = re.compile(
 _END_TAG_RE = re.compile(r"(" + _NAME + r")" + _S + r"*\Z")
 
 
-def read_start_tag(scanner: Scanner) -> tuple[str, str, bool]:
+def _read_start_tag(scanner: Scanner) -> tuple[str, str, bool]:
     """Read a start tag from after its ``<`` through its ``>``: its name,
-    its attribute text (for :func:`parse_attributes`) and whether it is an
+    its attribute text (for :func:`_parse_attributes`) and whether it is an
     empty-element tag.  The whole tag is one token to ``max_token_bytes``."""
     raw = scanner.read_tag_content("start tag")
     empty = raw.endswith("/")
@@ -83,7 +83,7 @@ def read_start_tag(scanner: Scanner) -> tuple[str, str, bool]:
     return match.group(1), match.group(2), empty
 
 
-def read_end_tag(scanner: Scanner) -> str:
+def _read_end_tag(scanner: Scanner) -> str:
     """Read an end tag from after its ``</`` through its ``>``: its name."""
     raw = scanner.read_tag_content("closing tag")
     match = _END_TAG_RE.match(raw)
@@ -92,7 +92,7 @@ def read_end_tag(scanner: Scanner) -> str:
     return match.group(1)
 
 
-def parse_attributes(
+def _parse_attributes(
     scanner: Scanner, tag: str, text: str, prunable: "frozenset[str]" = frozenset()
 ) -> tuple[dict[str, str], int]:
     """The attributes in the attribute text of ``tag``'s start tag, with
@@ -112,11 +112,11 @@ def parse_attributes(
         if name not in prunable:
             attributes[name] = value
     if len(names) > 1:
-        check_unique(scanner, tag, names)
+        _check_unique(scanner, tag, names)
     return attributes, len(names)
 
 
-def check_unique(scanner: Scanner, tag: str, names: list[str]) -> None:
+def _check_unique(scanner: Scanner, tag: str, names: list[str]) -> None:
     """Refuse a start tag that repeats an attribute name."""
     seen: set[str] = set()
     for name in names:
@@ -306,7 +306,7 @@ class EventParser:
             return ProcessingInstruction(target, data)
         if char == "/":
             scanner.advance()
-            tag = read_end_tag(scanner)
+            tag = _read_end_tag(scanner)
             if not self._open_tags:
                 raise scanner.error(f"closing tag </{tag}> with no open element")
             expected = self._open_tags.pop()
@@ -319,8 +319,8 @@ class EventParser:
         scanner = self._scanner
         if self._seen_root and not self._open_tags:
             raise scanner.error("multiple root elements")
-        tag, text, empty = read_start_tag(scanner)
-        attributes = parse_attributes(scanner, tag, text)[0] if text else {}
+        tag, text, empty = _read_start_tag(scanner)
+        attributes = _parse_attributes(scanner, tag, text)[0] if text else {}
         self._seen_root = True
         if empty:
             # An empty-element tag is surfaced as Start followed by End

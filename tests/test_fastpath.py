@@ -451,9 +451,9 @@ class TestTokenizerBoundaries:
     @pytest.mark.parametrize("chunk_size", BOUNDARY_CHUNKS)
     @pytest.mark.parametrize("name", sorted(BOUNDARY_DOCS))
     def test_token_limit_one_below_a_tag(self, book_grammar, name, chunk_size):
-        """The facade's fallback hands an over-limit tag to the event
-        pipeline, which reads attributes one by one; the fused scan itself
-        refuses exactly as before."""
+        """Both pipelines read a tag as one token with one reader, so the
+        facade's fused pass and the event pipeline refuse alike; the
+        fused scan itself refuses exactly as before."""
         xml = BOUNDARY_DOCS[name]
         limits = Limits(max_token_bytes=_longest_tag(xml) - 1)
         refusal = LIMIT_REFUSALS[name]

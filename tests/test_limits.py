@@ -13,7 +13,7 @@ import io
 
 import pytest
 
-from repro import Limits, obs, prune
+from repro import Limits, prune
 from repro.dtd.grammar import grammar_from_text
 from repro.errors import (
     DeadlineExceeded,
