@@ -736,7 +736,7 @@ class FastPruner:
         kept)``.  The write loop's twin of
         :func:`~repro.xmltree.parser._parse_attributes`, with the same
         checks in the same order, rendering as it goes: rendering from
-        that function's dict made a keep-all XMark write ~4 % slower."""
+        that function's dict made a keep-all XMark write ~3 % slower."""
         pieces: list[str] = []
         names: list[str] = []
         count_out = 0
