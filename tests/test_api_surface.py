@@ -92,13 +92,22 @@ LEGACY = [
 
 
 def test_legacy_names_are_gone():
-    """A 1.x top-level name is an unknown name now: AttributeError, no
-    warning, like any name the package never had."""
+    """A 1.x top-level name is off the surface and is an unknown name
+    now: AttributeError, no warning."""
+    assert not set(LEGACY) & set(repro.__all__)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for name in [*LEGACY, "definitely_not_a_name"]:
+        for name in LEGACY:
             with pytest.raises(AttributeError):
                 getattr(repro, name)
+
+
+def test_unknown_names_still_raise():
+    """A name the package never had raises AttributeError, no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AttributeError):
+            repro.definitely_not_a_name
 
 
 def test_submodules_stay_importable():
