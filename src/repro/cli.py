@@ -43,6 +43,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import repro
+
 
 def _load_grammar(args, document_path: str | None = None):
     from repro.loading import load_grammar
@@ -616,17 +618,6 @@ def cmd_serve(args) -> int:
     return server.run(ready=ready)
 
 
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:
-        import repro
-
-        return repro.__version__
-
-
 def _shared_parents():
     """The flag groups shared across subcommands, each defined exactly
     once and attached through argparse's ``parents`` mechanism — so
@@ -700,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-xml", description="Type-based XML projection (VLDB 2006)"
     )
     parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {_version()}")
+                        version=f"%(prog)s {repro.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     parents = _shared_parents()
 

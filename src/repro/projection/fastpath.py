@@ -13,7 +13,9 @@ fast path fuses all three stages onto the scanner:
   over the buffered input (:meth:`Scanner.matches`), so a token costs no
   Python call, no char-by-char scanning and no event object; the
   scanner's position is committed only where something else reads on or
-  an error quotes it;
+  an error quotes it.  A window of input without ``&`` is matched by a
+  lean spelling of the same regex, which makes the same matches there
+  and runs faster;
 * anything the regex does not match (entity references, comments,
   CDATA, processing instructions, a DOCTYPE, markup straddling a chunk
   edge or over the token limit, malformed markup) goes to one
@@ -96,13 +98,15 @@ _TOKEN_RE = re.compile(
     r"|(" + _NAME + r")(" + _ATTRIBUTES + r")" + _S + r"*"
     r"(?:(/)|>([^<&]*)</\3(?!" + _NAME_CHAR + r")" + _S + r"*)?)>"
 )
-#: The skip loop's tokenizer: :data:`_TOKEN_RE` with each text captured
-#: only as its first character, which tells whether it is empty — a
-#: skipped region keeps no text, so none is copied out of the buffer.
-_SKIP_TOKEN_RE = re.compile(
-    r"([^<&]?)[^<&]*<(?:/(" + _NAME + r")" + _S + r"*"
+#: The lean tokenizer: :data:`_TOKEN_RE` with both text runs spelled
+#: ``[^<]*``, which CPython's ``re`` scans in its single-character loop.
+#: On text without ``&`` the two make the same matches, so
+#: :meth:`Scanner.matches` serves it for every window that holds no ``&``;
+#: a window with a reference keeps :data:`_TOKEN_RE`.
+_LEAN_TOKEN_RE = re.compile(
+    r"([^<]*)<(?:/(" + _NAME + r")" + _S + r"*"
     r"|(" + _NAME + r")(" + _ATTRIBUTES + r")" + _S + r"*"
-    r"(?:(/)|>([^<&]?)[^<&]*</\3(?!" + _NAME_CHAR + r")" + _S + r"*)?)>"
+    r"(?:(/)|>([^<]*)</\3(?!" + _NAME_CHAR + r")" + _S + r"*)?)>"
 )
 
 #: What :func:`_read_token` returns for a CDATA section or processing
@@ -354,7 +358,7 @@ class FastPruner:
                         # the token regex never matches; '>' is escaped
                         # below, as for every token.
                         text = text.replace("&", "&amp;").replace("<", "&lt;")
-                    matches = scanner.matches(_TOKEN_RE)
+                    matches = scanner.matches(_TOKEN_RE, _LEAN_TOKEN_RE)
                 if text:
                     texts_in += 1
                     if plan.text_kept:
@@ -479,17 +483,15 @@ class FastPruner:
                         if leaf:
                             texts_in += 1
                     elif not slash:
-                        _commit(scanner, match)
-                        match = None
-                        skipped_elements, skipped_attributes, skipped_texts = (
+                        matches, match, skipped_elements, skipped_attributes, skipped_texts = (
                             self._skip_subtree(
-                                scanner, tag, tags_in, len(open_kept), tick, max_depth
+                                scanner, matches, match, tag, tags_in, len(open_kept),
+                                tick, max_depth,
                             )
                         )
                         elements_in += skipped_elements
                         attributes_in += skipped_attributes
                         texts_in += skipped_texts
-                        matches = scanner.matches(_TOKEN_RE)
             elif misc is not None:
                 kind = type(misc)
                 if kind is Characters:  # a CDATA section
@@ -606,7 +608,7 @@ class FastPruner:
                         scanner, helper, len(open_kept), plan.text_kept
                     )
                     leaf = None
-                    matches = scanner.matches(_TOKEN_RE)
+                    matches = scanner.matches(_TOKEN_RE, _LEAN_TOKEN_RE)
                 if text:
                     texts_in += 1
                     if plan.text_kept:
@@ -689,17 +691,15 @@ class FastPruner:
                         if leaf:
                             texts_in += 1
                     elif not slash:
-                        _commit(scanner, match)
-                        match = None
-                        skipped_elements, skipped_attributes, skipped_texts = (
+                        matches, match, skipped_elements, skipped_attributes, skipped_texts = (
                             self._skip_subtree(
-                                scanner, tag, tags_in, len(open_kept), tick, max_depth
+                                scanner, matches, match, tag, tags_in, len(open_kept),
+                                tick, max_depth,
                             )
                         )
                         elements_in += skipped_elements
                         attributes_in += skipped_attributes
                         texts_in += skipped_texts
-                        matches = scanner.matches(_TOKEN_RE)
             elif misc is not None:
                 if type(misc) is Characters:  # a CDATA section
                     texts_in += 1
@@ -760,43 +760,47 @@ class FastPruner:
     def _skip_subtree(
         self,
         scanner: Scanner,
+        matches: "Iterator[re.Match[str]]",
+        match: "re.Match[str] | None",
         first_tag: str,
         tags: set[str],
-        base_depth: int,
+        depth: int,
         tick: Callable[[], None] | None,
         max_depth: int,
-    ) -> tuple[int, int, int]:
+    ) -> tuple["Iterator[re.Match[str]]", "re.Match[str] | None", int, int, int]:
         """Bulk-skip the content of a discarded element up to and
         including its end tag, maintaining only a tag stack for
         well-formedness and the counters the event path would have
-        gathered: returns ``(elements, attributes, texts)`` and adds the
-        tags it saw to ``tags``.  The scanner position is committed on
-        entry and on return.  ``base_depth`` is the kept-element nesting
+        gathered; adds the tags it saw to ``tags``.  The skip goes on with
+        the caller's iterator ``matches`` and its last match ``match``
+        (``None`` when the scanner position is committed), and returns
+        ``(matches, match, elements, attributes, texts)``: the iterator it
+        ended on and the end tag's match, so the caller reads on without a
+        commit or a new iterator.  ``depth`` is the kept-element nesting
         above this subtree, so the depth limit sees the document's true
         depth even inside discarded regions; ``tick`` and ``max_depth``
         come from :func:`_governor`."""
         open_tags = [first_tag]
-        if base_depth + 1 > max_depth:
-            self.guard.check_depth(base_depth + 1)  # type: ignore[union-attr]
+        depth += 1
+        if depth > max_depth:
+            self.guard.check_depth(depth)  # type: ignore[union-attr]
         elements = attributes = texts = 0
-        matches = scanner.matches(_SKIP_TOKEN_RE)
-        match: re.Match[str] | None = None
         while True:
             if tick is not None:
                 tick()
-            token = next(matches, None)
-            if token is not None:
-                match = token
-                text, closing, tag, attrs_text, slash, leaf = token.groups()
+            for match in matches:
+                text, closing, tag, attrs_text, slash, leaf = match.groups()
                 misc = None
-            else:
+                break
+            else:  # a miss: commit the last match taken, read one token
+                # the hard way, then match a new window
                 _commit(scanner, match)
                 match = None
                 text, closing, tag, attrs_text, slash, misc = _read_token(
-                    scanner, None, base_depth + len(open_tags), False, skipping=True
+                    scanner, None, depth, False, skipping=True
                 )
                 leaf = None
-                matches = scanner.matches(_SKIP_TOKEN_RE)
+                matches = scanner.matches(_TOKEN_RE, _LEAN_TOKEN_RE)
             if text:
                 texts += 1
             if closing is not None:
@@ -807,8 +811,8 @@ class FastPruner:
                         f"mismatched closing tag </{closing}>, expected </{expected}>"
                     )
                 if not open_tags:
-                    _commit(scanner, match)
-                    return elements, attributes, texts
+                    return matches, match, elements, attributes, texts
+                depth -= 1
             elif tag is not None:
                 elements += 1
                 tags.add(tag)
@@ -819,14 +823,15 @@ class FastPruner:
                         _commit_start_tag(scanner, match, leaf)
                         attributes += _parse_attributes(scanner, tag, attrs_text)[1]
                 if leaf is not None:  # the whole element at once
-                    if base_depth + len(open_tags) + 1 > max_depth:
-                        self.guard.check_depth(base_depth + len(open_tags) + 1)  # type: ignore[union-attr]
+                    if depth + 1 > max_depth:
+                        self.guard.check_depth(depth + 1)  # type: ignore[union-attr]
                     if leaf:
                         texts += 1
                 elif not slash:
                     open_tags.append(tag)
-                    if base_depth + len(open_tags) > max_depth:
-                        self.guard.check_depth(base_depth + len(open_tags))  # type: ignore[union-attr]
+                    depth += 1
+                    if depth > max_depth:
+                        self.guard.check_depth(depth)  # type: ignore[union-attr]
             elif misc is not None:
                 if misc is _SKIPPED_CDATA:
                     texts += 1

@@ -66,6 +66,7 @@ class Scanner:
     __slots__ = (
         "_source", "_buffer", "_position", "_eof", "_chunk_size", "_consumed",
         "_dropped_lines", "_dropped_line_start", "_guard", "_max_token", "_ahead",
+        "_amp",
     )
 
     def __init__(
@@ -100,6 +101,10 @@ class Scanner:
         # read, as ``(delimiters, index)`` with -1 for a miss; dropped when
         # the buffer changes (see _nearest).
         self._ahead: tuple[str, int] | None = None
+        # Buffer index of the next '&' as :meth:`matches` last found it, -1
+        # for none in the rest of the buffer, -2 before a search in this
+        # buffer: reset wherever _ahead is.
+        self._amp = -2
 
     @property
     def guard(self) -> "LimitGuard | None":
@@ -168,6 +173,7 @@ class Scanner:
             self._buffer = ""
             self._position = 0
             self._ahead = None
+            self._amp = -2
         while len(self._buffer) - self._position < needed:
             chunk = self._source.read(self._chunk_size)
             if not chunk:
@@ -180,6 +186,7 @@ class Scanner:
                 self._guard.add_input(len(chunk))
             self._buffer += chunk
             self._ahead = None
+            self._amp = -2
 
     def _compact(self) -> None:
         """Drop already-consumed characters so the buffer stays small.
@@ -190,6 +197,7 @@ class Scanner:
             self._buffer = self._buffer[self._position :]
             self._position = 0
             self._ahead = None
+            self._amp = -2
 
     # -- single character protocol ----------------------------------------
 
@@ -223,7 +231,9 @@ class Scanner:
 
     # -- multi character protocol ------------------------------------------
 
-    def matches(self, pattern: "re.Pattern[str]") -> "Iterator[re.Match[str]]":
+    def matches(
+        self, pattern: "re.Pattern[str]", lean: "re.Pattern[str] | None" = None
+    ) -> "Iterator[re.Match[str]]":
         """Back-to-back matches of ``pattern`` over the buffered input from
         the current position, as a C-level iterator: each match starts
         where the previous one ended, and the iterator stops at the first
@@ -236,10 +246,25 @@ class Scanner:
         ``max_token_bytes`` characters from the position, so none is
         longer than the limit; a token across that edge is a miss too.  A
         caller falls back to the per-construct readers, which refill and
-        enforce the limit themselves."""
+        enforce the limit themselves.
+
+        ``lean``, when given, serves a window that holds no ``&`` in place
+        of ``pattern``; the caller passes one that makes the same matches
+        as ``pattern`` on text without ``&``.  The next ``&`` is found
+        with one search per buffer: the index is kept while it lies ahead
+        of the position (or while there is none) and dropped when the
+        buffer changes, so a run of misses does not search the rest of the
+        buffer once each."""
+        buffer = self._buffer
         position = self._position
-        end = min(len(self._buffer), position + self._max_token)
-        return iter(pattern.scanner(self._buffer, position, end).match, None)
+        end = min(len(buffer), position + self._max_token)
+        if lean is not None:
+            amp = self._amp
+            if amp < position and amp != -1:
+                amp = self._amp = buffer.find("&", position)
+            if amp == -1 or amp >= end:
+                pattern = lean
+        return iter(pattern.scanner(buffer, position, end).match, None)
 
     def consume_to(self, index: int) -> None:
         """Consume the buffered input up to buffer index ``index``: the end

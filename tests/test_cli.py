@@ -1,11 +1,16 @@
 """CLI tests driving ``repro-xml`` subcommands through main()."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from tests.conftest import BOOK_DTD, BOOK_XML
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture()
@@ -147,6 +152,41 @@ class TestVersion:
         out = capsys.readouterr().out
         assert "repro-xml" in out
         assert repro.__version__ in out
+
+    def test_version_is_the_package_version(self, tmp_path, monkeypatch, capsys):
+        """An installed distribution's metadata first on the path does not
+        change what ``--version`` prints."""
+        import repro
+
+        metadata = tmp_path / "repro-9.9.9.dist-info"
+        metadata.mkdir()
+        (metadata / "METADATA").write_text(
+            "Metadata-Version: 2.1\nName: repro\nVersion: 9.9.9\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out.split() == ["repro-xml", repro.__version__]
+
+    def test_building_the_parser_leaves_package_metadata_unread(self):
+        """Building the parser, which every CLI run does, imports no
+        ``importlib.metadata``."""
+        code = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print('importlib.metadata' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestServerRunsKeepTheirInputs:

@@ -15,7 +15,7 @@ from repro.dtd.regex import Atom, Seq, Star
 from repro.dtd.singletype import single_type_grammar
 from repro.errors import LimitExceeded, ValidationError, XMLSyntaxError
 from repro.limits import Limits
-from repro.projection.fastpath import _SKIP_TOKEN_RE, _TOKEN_RE, FastPruner, _read_token
+from repro.projection.fastpath import _LEAN_TOKEN_RE, _TOKEN_RE, FastPruner, _read_token
 from repro.projection.stats import PruneStats
 from repro.api import prune
 from repro.workloads.randomgen import random_grammar, random_valid_document
@@ -277,6 +277,27 @@ BOUNDARY_DOCS = {
         '\n\t <bib> <book isbn="a<b">\n <title>\n</title> <author> </author>'
         " </book>\n</bib>\n\n"
     ),
+    # Runs of plain leaves, each longer than the small chunks, between a
+    # reference in text, one in an attribute value, a leaf whose text holds
+    # one and a CDATA section holding '&': the scan switches between the
+    # lean and the reference regex inside chunks and across them.
+    "references_between_plain_runs": (
+        "<bib>\n"
+        + "".join(
+            f'<book isbn="p{i}"><title>plain {i}</title><author>a</author>'
+            f"<year>{i}</year></book>\n{special}\n"
+            for i, special in enumerate(
+                [
+                    "<book><title>T &#65;<!--c--></title><author>x</author></book>",
+                    '<book isbn="r&amp;s"><title>t</title><author>x</author></book>',
+                    "<book><title>t</title><author>A&amp;B &#66;</author></book>",
+                    "<book><title><![CDATA[a & b]]></title><author>x</author></book>",
+                ]
+                * 2
+            )
+        )
+        + "<book><title>end</title><author>z</author></book></bib>"
+    ),
 }
 
 BOUNDARY_CHUNKS = [*range(1, 18), 1 << 16]
@@ -292,6 +313,8 @@ LIMIT_REFUSALS = {
     "empty_tags": "token_bytes limit exceeded: 15 > 14",
     "long_tags_and_lines": "token_bytes limit exceeded: 75 > 74",
     "lt_and_whitespace": "token_bytes limit exceeded: 15 > 14",
+    # Recorded from the fused scan before it had a lean regex.
+    "references_between_plain_runs": "token_bytes limit exceeded: 19 > 18",
 }
 #: A one-character stream reads the XML declaration a character at a time,
 #: so the in-loop check trips one character earlier.
@@ -373,21 +396,27 @@ _CONTRACT_INPUTS = (
 )
 
 
-def _assert_token_contract(pattern, text, tag, inner, after):
-    """A match of ``pattern`` consumes exactly what the reader reads for
-    the same token, or two for a text-only leaf (its start tag, then its
-    text and end tag), with the same names and texts; the skip regex
-    captures only whether each text is non-empty."""
+def _contract_xml(text, tag, inner, after):
     if isinstance(after, tuple):
         name = re.match(_NAME, tag)
         suffix, space = after
         after = f"/{name.group() if name else 'a'}{suffix}{space}"
-    xml = f"{text}<{tag}>{inner}<{after}>tail<"
-    match = pattern.match(xml)
+    return f"{text}<{tag}>{inner}<{after}>tail<"
+
+
+def _assert_token_contract(text, tag, inner, after):
+    """The first match :meth:`Scanner.matches` hands the fused loops (the
+    lean regex when the input holds no ``&``) consumes exactly what the
+    reader reads for the same token, or two for a text-only leaf (its
+    start tag, then its text and end tag), with the same names and
+    texts; skipping, the reader tells only whether each text is
+    non-empty."""
+    xml = _contract_xml(text, tag, inner, after)
+    match = next(Scanner(xml).matches(_TOKEN_RE, _LEAN_TOKEN_RE), None)
     if match is None:
         return  # a miss: the reader alone decides
     text, closing, tag, attributes, slash, leaf = match.groups()
-    for skipping in (True,) if pattern is _SKIP_TOKEN_RE else (False, True):
+    for skipping in (False, True):
         scanner = Scanner(xml)
         token = _read_token(scanner, None, 1, not skipping, skipping=skipping)
         assert token[0] == (bool(text) if skipping else text)
@@ -399,6 +428,17 @@ def _assert_token_contract(pattern, text, tag, inner, after):
             assert token[0] == (bool(leaf) if skipping else leaf)
             assert token[1:] == (tag, None, None, None, None)
         assert scanner.chars_consumed == match.end()
+
+
+def _assert_lean_is_reference(text, tag, inner, after):
+    """Without ``&``, the lean regex makes the reference regex's matches:
+    the same ends and groups, back to back."""
+    xml = _contract_xml(text, tag, inner, after).replace("&", "")
+
+    def tokens(pattern):
+        return [(match.end(), match.groups()) for match in iter(pattern.scanner(xml).match, None)]
+
+    assert tokens(_LEAN_TOKEN_RE) == tokens(_TOKEN_RE)
 
 
 class TestTokenRegexContract:
@@ -414,15 +454,54 @@ class TestTokenRegexContract:
     @settings(max_examples=500, deadline=None)
     @given(*_CONTRACT_INPUTS)
     def test_every_match_is_what_the_reader_reads(self, text, tag, inner, after):
-        for pattern in (_TOKEN_RE, _SKIP_TOKEN_RE):
-            _assert_token_contract(pattern, text, tag, inner, after)
+        _assert_token_contract(text, tag, inner, after)
 
     @pytest.mark.slow
     @settings(max_examples=20_000, deadline=None)
     @given(*_CONTRACT_INPUTS)
     def test_every_match_is_what_the_reader_reads_at_scale(self, text, tag, inner, after):
-        for pattern in (_TOKEN_RE, _SKIP_TOKEN_RE):
-            _assert_token_contract(pattern, text, tag, inner, after)
+        _assert_token_contract(text, tag, inner, after)
+
+    @settings(max_examples=500, deadline=None)
+    @given(*_CONTRACT_INPUTS)
+    def test_lean_regex_matches_as_the_reference_without_references(
+        self, text, tag, inner, after
+    ):
+        _assert_lean_is_reference(text, tag, inner, after)
+
+    @pytest.mark.slow
+    @settings(max_examples=20_000, deadline=None)
+    @given(*_CONTRACT_INPUTS)
+    def test_lean_regex_matches_as_the_reference_at_scale(self, text, tag, inner, after):
+        _assert_lean_is_reference(text, tag, inner, after)
+
+
+class TestLeanWindows:
+    """:meth:`Scanner.matches` serves the lean regex only to a window that
+    holds no '&', and looks for the next '&' again once its buffer
+    changes, so it always hands out the reference regex's matches."""
+
+    @staticmethod
+    def _assert_reference_tokens(scanner):
+        served = [match.groups() for match in scanner.matches(_TOKEN_RE, _LEAN_TOKEN_RE)]
+        assert served == [match.groups() for match in scanner.matches(_TOKEN_RE)]
+
+    def test_a_refill_brings_a_reference_into_the_window(self):
+        scanner = Scanner(io.StringIO("<a>b</a><c>&#66;</c>"), chunk_size=8)
+        scanner.peek()  # one chunk, without '&'
+        self._assert_reference_tokens(scanner)
+        scanner.consume_to(3)
+        scanner.peek_at(16)  # appends the rest and drops nothing
+        self._assert_reference_tokens(scanner)
+
+    def test_a_compaction_moves_the_reference(self):
+        xml = "<a>bbbbbbbbbb</a><c>&#66;</c><d/><e/>"
+        scanner = Scanner(io.StringIO(xml), chunk_size=4)
+        scanner.peek_at(31)
+        self._assert_reference_tokens(scanner)  # finds the '&' at 20
+        scanner.consume_to(17)
+        assert scanner.advance() == "<"  # drops the 18 characters consumed
+        self._assert_reference_tokens(scanner)
 
 
 class TestTokenizerBoundaries:

@@ -267,13 +267,17 @@ def test_fuzz_no_partial_output_file(seed, tmp_path):
         assert out.exists()
 
 
-#: Inputs that turn the fused scan's fallback reader quadratic unless it
-#: keeps its searches instead of re-searching the rest of the buffer after
-#: every quoted value or entity reference: a start tag with 200k attributes
-#: and no '>', and a text node with 200k references, kept and skipped.
-#: Linear, each takes well under a second; quadratic, several.
+#: Inputs that turn the fused scan quadratic unless it keeps its searches
+#: instead of re-searching the rest of the buffer: after every quoted value
+#: or entity reference in the fallback reader (a start tag with 200k
+#: attributes and no '>', and a text node with 200k references, kept and
+#: skipped), and for the next '&' at every new window (100k leaves each
+#: followed by a comment, a miss that rebuilds the window, kept and in a
+#: skipped subtree).  Linear, each takes well under a second; quadratic,
+#: several.
 LINEAR_SECONDS = 2.0
 REFERENCES = "&amp;and_x" * 200_000
+COMMENTED_LEAVES = 100_000
 
 
 def _linear_case(name: str) -> str:
@@ -281,12 +285,21 @@ def _linear_case(name: str) -> str:
         return "<bib><book" + "".join(f' a{i}="v"' for i in range(200_000))
     if name == "references_in_kept_text":
         return f"<bib><book><title>{REFERENCES}</title></book></bib>"
-    return f"<bib><book><title>t</title><author>{REFERENCES}</author></book></bib>"
+    if name == "references_in_skipped_text":
+        return f"<bib><book><title>t</title><author>{REFERENCES}</author></book></bib>"
+    pairs = "<title>t</title><!--c-->" * COMMENTED_LEAVES
+    if name == "comments_after_kept_leaves":
+        return f"<bib><book>{pairs}</book></bib>"
+    return f"<bib><book><title>t</title><author>{pairs}</author></book></bib>"
 
 
 @pytest.mark.parametrize(
     "name",
-    ["attribute_flood_without_gt", "references_in_kept_text", "references_in_skipped_text"],
+    [
+        "attribute_flood_without_gt", "references_in_kept_text",
+        "references_in_skipped_text", "comments_after_kept_leaves",
+        "comments_after_skipped_leaves",
+    ],
 )
 def test_fallback_reader_is_linear(name):
     doc = _linear_case(name)
