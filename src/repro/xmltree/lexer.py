@@ -232,7 +232,7 @@ class Scanner:
     # -- multi character protocol ------------------------------------------
 
     def matches(
-        self, pattern: "re.Pattern[str]", lean: "re.Pattern[str] | None" = None
+        self, pattern: "re.Pattern[str]", lean: "re.Pattern[str]"
     ) -> "Iterator[re.Match[str]]":
         """Back-to-back matches of ``pattern`` over the buffered input from
         the current position, as a C-level iterator: each match starts
@@ -248,9 +248,9 @@ class Scanner:
         caller falls back to the per-construct readers, which refill and
         enforce the limit themselves.
 
-        ``lean``, when given, serves a window that holds no ``&`` in place
-        of ``pattern``; the caller passes one that makes the same matches
-        as ``pattern`` on text without ``&``.  The next ``&`` is found
+        ``lean`` serves a window that holds no ``&`` in place of
+        ``pattern``; the caller passes one that makes the same matches as
+        ``pattern`` on text without ``&``.  The next ``&`` is found
         with one search per buffer: the index is kept while it lies ahead
         of the position (or while there is none) and dropped when the
         buffer changes, so a run of misses does not search the rest of the
@@ -258,12 +258,11 @@ class Scanner:
         buffer = self._buffer
         position = self._position
         end = min(len(buffer), position + self._max_token)
-        if lean is not None:
-            amp = self._amp
-            if amp < position and amp != -1:
-                amp = self._amp = buffer.find("&", position)
-            if amp == -1 or amp >= end:
-                pattern = lean
+        amp = self._amp
+        if amp < position and amp != -1:
+            amp = self._amp = buffer.find("&", position)
+        if amp == -1 or amp >= end:
+            pattern = lean
         return iter(pattern.scanner(buffer, position, end).match, None)
 
     def consume_to(self, index: int) -> None:

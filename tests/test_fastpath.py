@@ -484,7 +484,8 @@ class TestLeanWindows:
     @staticmethod
     def _assert_reference_tokens(scanner):
         served = [match.groups() for match in scanner.matches(_TOKEN_RE, _LEAN_TOKEN_RE)]
-        assert served == [match.groups() for match in scanner.matches(_TOKEN_RE)]
+        reference = scanner.matches(_TOKEN_RE, _TOKEN_RE)  # the same window
+        assert served == [match.groups() for match in reference]
 
     def test_a_refill_brings_a_reference_into_the_window(self):
         scanner = Scanner(io.StringIO("<a>b</a><c>&#66;</c>"), chunk_size=8)
