@@ -489,6 +489,9 @@ class FastPruner:
                                 tick, max_depth,
                             )
                         )
+                        if not open_kept:  # a skipped root: the rest is read the hard way
+                            _commit(scanner, match)
+                            match = None
                         elements_in += skipped_elements
                         attributes_in += skipped_attributes
                         texts_in += skipped_texts
@@ -697,6 +700,9 @@ class FastPruner:
                                 tick, max_depth,
                             )
                         )
+                        if not open_kept:  # a skipped root: the rest is read the hard way
+                            _commit(scanner, match)
+                            match = None
                         elements_in += skipped_elements
                         attributes_in += skipped_attributes
                         texts_in += skipped_texts
@@ -776,7 +782,9 @@ class FastPruner:
         (``None`` when the scanner position is committed), and returns
         ``(matches, match, elements, attributes, texts)``: the iterator it
         ended on and the end tag's match, so the caller reads on without a
-        commit or a new iterator.  ``depth`` is the kept-element nesting
+        commit or a new iterator — except after a skipped root element,
+        where the caller commits ``match`` before reading the rest of the
+        document the hard way.  ``depth`` is the kept-element nesting
         above this subtree, so the depth limit sees the document's true
         depth even inside discarded regions; ``tick`` and ``max_depth``
         come from :func:`_governor`."""

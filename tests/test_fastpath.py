@@ -322,6 +322,20 @@ LIMIT_REFUSALS_AT_CHUNK_1 = {
     "misc_kept_and_skipped": "token_bytes limit exceeded: 13 > 12",
 }
 
+#: Documents whose root element, ``<book>``, a ``{"bib"}`` projector drops:
+#: the skip ends on the document's last end tag, and whatever follows it,
+#: misc or malformed, is read from there.
+DROPPED_ROOT_DOCS = {
+    "leaves": "<book><title>t</title><author>a</author></book>",
+    "empty_child": "<book><title/></book>",
+    "references_and_misc": (
+        '<?xml version="1.0"?>\n<!--h--><book isbn="x&amp;y"><title>t &#65;</title>'
+        "<author>a</author><year>1</year></book>\n<!--c--><?pi?>\n"
+    ),
+    "text_after_root": "<book><title>t</title><author>a</author></book>\njunk",
+    "second_root": "<book><title>t</title><author>a</author></book><book/>",
+}
+
 
 def _projectors(grammar) -> dict:
     return {
@@ -562,6 +576,41 @@ class TestTokenizerBoundaries:
                 with pytest.raises(LimitExceeded) as refused:
                     drive(pruner)
                 assert str(refused.value) == refusal
+
+    @pytest.mark.parametrize("chunk_size", BOUNDARY_CHUNKS)
+    @pytest.mark.parametrize("name", sorted(DROPPED_ROOT_DOCS))
+    def test_a_dropped_root_element(self, book_grammar, name, chunk_size):
+        """A document element the projector drops is skipped like any
+        subtree; what follows it is read the hard way, from the end of
+        its end tag, by both loops."""
+        xml = DROPPED_ROOT_DOCS[name]
+        projector = frozenset({"bib"})
+
+        def write():
+            stats, sink = PruneStats(), io.StringIO()
+            written = FastPruner(book_grammar, projector, stats=stats).write(
+                io.StringIO(xml), sink, chunk_size
+            )
+            assert written == len(sink.getvalue())
+            return sink.getvalue(), _statdict(stats)
+
+        def event_pipeline():
+            text, stats = _event_pipeline(book_grammar, xml, projector, chunk_size)
+            return text, _statdict(stats)
+
+        def events():
+            stats = PruneStats()
+            fast = list(FastPruner(book_grammar, projector, stats=stats).events(
+                io.StringIO(xml), chunk_size
+            ))
+            return fast, _statdict(stats)
+
+        def reference_events():
+            reference = prune(parse_events(xml), book_grammar, projector)
+            return list(reference.events), _statdict(reference.stats)
+
+        assert _outcome(write) == _outcome(event_pipeline)
+        assert _outcome(events) == _outcome(reference_events)
 
 
 # Malformed inputs and the fused scan's error for each: class, message,
