@@ -15,10 +15,7 @@ Measures, on an XMark document:
 * projector-cache hit rates for a workload that repeats each query;
 * with ``--smoke``: tracing-disabled vs raw-pruner and tracing-enabled
   prune times — the :mod:`repro.obs` no-op default must stay within
-  ``--max-obs-overhead`` (default 5%) of the uninstrumented hot loop —
-  and two reference-dense variants of the document (character references
-  in text, references in attribute values), pruned both ways: fused
-  times and speedups reported, byte identity gated.
+  ``--max-obs-overhead`` (default 5%) of the uninstrumented hot loop.
 
 Writes machine-readable ``benchmarks/results/BENCH_hotpath.json`` and a
 JSONL gauge stream (the :class:`repro.obs.JsonlSink` record format) next
@@ -206,33 +203,6 @@ def _ledger_dedup(xml: str, grammar, projector, repeats: int) -> dict:
     }
 
 
-#: The reference-dense variants of the smoke document: the fused scan
-#: reads a chunk that holds ``&`` with its reference regex and hands each
-#: reference to the per-construct reader, so these time that side.
-REFERENCE_VARIANTS = {
-    "text_references": ("<text>", "<text>&#65;&#x42;"),
-    "attribute_references": ('category="category', 'category="cat&amp;'),
-}
-
-
-def _reference_probe(xml: str, grammar, projector, repeats: int) -> dict:
-    """Prune each reference-dense variant with the fused path and the
-    event pipeline; the outputs must be byte-identical."""
-    results = {}
-    for name, (old, new) in REFERENCE_VARIANTS.items():
-        variant = xml.replace(old, new)
-        slow_seconds, slow_output = _time_prune(variant, grammar, projector, False, repeats)
-        fast_seconds, fast_output = _time_prune(variant, grammar, projector, True, repeats)
-        results[name] = {
-            "references": variant.count("&"),
-            "event_pipeline_seconds": round(slow_seconds, 6),
-            "fast_path_seconds": round(fast_seconds, 6),
-            "speedup": round(slow_seconds / fast_seconds, 3) if fast_seconds else None,
-            "byte_identical": fast_output == slow_output,
-        }
-    return results
-
-
 def run(factor: float, repeats: int, output_path: str, min_speedup: float,
         smoke: bool = False, max_obs_overhead: float = 5.0) -> dict:
     from repro.core.cache import ProjectorCache
@@ -290,16 +260,9 @@ def run(factor: float, repeats: int, output_path: str, min_speedup: float,
     obs_overhead = None
     short_circuit = None
     ledger_dedup = None
-    references = None
     if smoke:
         smoke_query = DEFAULT_QUERIES["QP3-person-name"]
         smoke_projector = cache.projector_for_query(grammar, smoke_query)
-        references = _reference_probe(xml, grammar, smoke_projector, repeats)
-        for name, probe in references.items():
-            print(f"  {name:22s} event {probe['event_pipeline_seconds'] * 1000:8.1f} ms   "
-                  f"fast {probe['fast_path_seconds'] * 1000:8.1f} ms   "
-                  f"{probe['speedup']:5.2f}x  ({probe['references']} references)",
-                  flush=True)
         obs_overhead = _obs_overhead(xml, grammar, smoke_projector, repeats)
         print(f"  obs overhead: raw {obs_overhead['raw_seconds'] * 1000:.1f} ms, "
               f"disabled {obs_overhead['disabled_seconds'] * 1000:.1f} ms "
@@ -347,18 +310,6 @@ def run(factor: float, repeats: int, output_path: str, min_speedup: float,
                 f"prune (cap 1%)"
             ),
         ),
-        "references_byte_identical": _stats.gate(
-            None if references is None
-            else all(probe["byte_identical"] for probe in references.values()),
-            "not measured (run with --smoke)" if references is None else (
-                "fused output of the reference-dense variants "
-                + ", ".join(
-                    f"{name} {'matches' if probe['byte_identical'] else 'DIFFERS from'}"
-                    for name, probe in references.items()
-                )
-                + " the event pipeline"
-            ),
-        ),
         "ledger_dedup": _stats.gate(
             None if ledger_dedup is None
             else ledger_dedup["fraction_percent"] < 5.0,
@@ -394,8 +345,6 @@ def run(factor: float, repeats: int, output_path: str, min_speedup: float,
         report["static_short_circuit"] = short_circuit
     if ledger_dedup is not None:
         report["ledger_dedup"] = ledger_dedup
-    if references is not None:
-        report["references"] = references
     report["failures"] = _stats.failures(gates)
 
     _stats.write_report(report, output_path)
@@ -429,9 +378,6 @@ def _write_gauges(report: dict, path: str) -> None:
             flat[f"bench.hotpath.static.{key}"] = value
         for key, value in report.get("ledger_dedup", {}).items():
             flat[f"bench.hotpath.ledger.{key}"] = value
-        for name, probe in report.get("references", {}).items():
-            flat[f"bench.hotpath.{name}.fast_seconds"] = probe["fast_path_seconds"]
-            flat[f"bench.hotpath.{name}.speedup"] = probe["speedup"]
         for name, value in flat.items():
             sink.record({"type": "gauge", "name": name, "value": value})
     finally:
