@@ -1,22 +1,18 @@
 """Comparison baselines: the Marian & Siméon path-based loader-pruner."""
 
-from repro.baselines.marian_simeon import (
-    BaselineMetrics,
-    BaselineResult,
-    MarianSimeonPruner,
-    baseline_paths_for_query,
-    prune_with_baseline,
-)
-from repro.baselines.paths import ProjectionPath, PStep, PStepKind, degrade_pathl
+from repro import _lazy
 
-__all__ = [
-    "BaselineMetrics",
-    "BaselineResult",
-    "MarianSimeonPruner",
-    "ProjectionPath",
-    "PStep",
-    "PStepKind",
-    "baseline_paths_for_query",
-    "degrade_pathl",
-    "prune_with_baseline",
-]
+_EXPORTS = {
+    "BaselineMetrics": "repro.baselines.marian_simeon",
+    "BaselineResult": "repro.baselines.marian_simeon",
+    "MarianSimeonPruner": "repro.baselines.marian_simeon",
+    "ProjectionPath": "repro.baselines.paths",
+    "PStep": "repro.baselines.paths",
+    "PStepKind": "repro.baselines.paths",
+    "baseline_paths_for_query": "repro.baselines.marian_simeon",
+    "degrade_pathl": "repro.baselines.paths",
+    "prune_with_baseline": "repro.baselines.marian_simeon",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

@@ -18,7 +18,9 @@ bytes; ``verify-ledger`` re-earns every attestation offline.
 
 ``prune --server HOST:PORT`` (and ``extract --server``) sends the work to
 a running service instead of doing it in-process, so repeated invocations
-share the server's resident projector cache and warm workers.
+share the server's resident projector cache and warm workers.  It prints
+what the local run prints; only its timing line differs, naming the
+server.
 
 Example::
 
@@ -41,7 +43,9 @@ stderr when the command finishes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import time
 
 import repro
 
@@ -83,23 +87,6 @@ def _limits_from_args(args):
     return limits.replace(**overrides) if overrides else limits
 
 
-def _open_ledger(args):
-    """The ``--ledger`` flag, opened — or ``None`` when unset.  Ledger
-    recording is single-document, local-run bookkeeping: batch mode and
-    ``--server`` refuse the flag loudly rather than silently skipping."""
-    path = getattr(args, "ledger", None)
-    if not path:
-        return None
-    if getattr(args, "server", None):
-        raise SystemExit(
-            "--ledger records local runs; give the flag to the server "
-            "instead (`repro-xml serve --ledger PATH`)"
-        )
-    from repro.ledger import Ledger
-
-    return Ledger(path)
-
-
 def _ledger_provenance(args):
     """Grammar provenance for a recorded run, so ``verify-ledger`` can
     replay it later with no out-of-band grammar.  ``--infer-dtd``
@@ -108,8 +95,6 @@ def _ledger_provenance(args):
     if args.xmark:
         return {"grammar": {"xmark": True}}
     if getattr(args, "schema", None):
-        import os
-
         spec = {"xsd_path": os.path.abspath(args.schema)}
         if args.root:
             spec["root"] = args.root
@@ -120,18 +105,10 @@ def _ledger_provenance(args):
         or not args.dtd
     ):
         return None
-    import os
-
     spec = {"dtd_path": os.path.abspath(args.dtd)}
     if args.root:
         spec["root"] = args.root
     return {"grammar": spec}
-
-
-def _is_xquery(query: str) -> bool:
-    from repro.querylang import looks_like_xquery
-
-    return looks_like_xquery(query)
 
 
 def _projector(grammar, queries):
@@ -190,9 +167,51 @@ def _batch_inputs(args):
     return None
 
 
+def _failure(error: BaseException) -> tuple[str, str]:
+    """A failure as ``(kind, message)``.  A server-side failure is named
+    by its server-side class, as a local run names it."""
+    from repro.errors import RemoteError
+
+    if isinstance(error, RemoteError):
+        return error.remote_type, str(error)[len(error.remote_type) + 2:]
+    return type(error).__name__, str(error)
+
+
 def _print_batch_errors(batch) -> None:
     for error in batch.errors:
         print(f"error: {error.source}: {error.kind}: {error.message}", file=sys.stderr)
+
+
+def _print_sizes(stats) -> None:
+    print(f"size: {stats.bytes_in} -> {stats.bytes_out} bytes ({stats.size_percent:.1f}% kept)")
+    print(f"nodes: {stats.nodes_in} -> {stats.nodes_out}")
+
+
+def _deliver(result, out) -> None:
+    """Write the text a run handed back: a server's reply, or records
+    bound for stdout (``out`` is None).  A local run wrote its file
+    itself."""
+    if result.text is None:
+        return
+    if out is None:
+        sys.stdout.write(result.text)
+        return
+    with open(out, "w", encoding="utf-8") as handle:
+        handle.write(result.text)
+
+
+def _parse_fields(pairs):
+    """``--field NAME=RELPATH`` pairs → the ExtractSpec fields mapping
+    (declared order preserved — it is the output column order)."""
+    fields: dict[str, str] = {}
+    for item in pairs:
+        name, sep, path = item.partition("=")
+        if not sep or not name or not path:
+            raise SystemExit(f"--field expects NAME=RELPATH, got {item!r}")
+        if name in fields:
+            raise SystemExit(f"duplicate --field name {name!r}")
+        fields[name] = path
+    return fields
 
 
 def _server_grammar_kwargs(args) -> dict:
@@ -215,277 +234,220 @@ def _server_grammar_kwargs(args) -> dict:
                      "client-side only)")
 
 
-def _prune_via_server(args) -> int:
-    """Send ``prune`` work to a running projection service.
+def _runner(args, items, spec=None):
+    """Who runs a ``prune`` command's items (an ``extract`` command's,
+    given its ``spec``): this process, or the service at ``--server``.
+    The command bodies do the rest, once for both: input expansion,
+    output, the summary and the error lines."""
+    if getattr(args, "server", None):
+        return _Remote(args, spec)
+    return _Local(args, items, spec)
 
-    Documents are read client-side and shipped as markup (the server may
-    be on another machine); pruned markup comes back over the socket and
-    is written locally, so the command's filesystem contract matches the
-    in-process path exactly: an output that is an input is refused
-    before anything is sent or written.
-    """
-    from repro.api import PruneOptions
-    from repro.parallel import _output_paths, _refuse_overwriting_sources
-    from repro.run import _refuse_overwriting_source
-    from repro.service.client import ServiceClient
 
-    grammar_kwargs = _server_grammar_kwargs(args)
-    options_kwargs = {
-        "queries": args.query,
-        "options": PruneOptions(fast=not args.no_fast, validate=args.validate),
-        "limits": _limits_from_args(args),
-        **grammar_kwargs,
-    }
+class _Local:
+    """Runs the items in this process: the ``prune``/``extract`` facade
+    for one document, through the ``--ledger`` attestation ledger when
+    given; ``prune_many``/``extract_many`` for a batch."""
 
-    items = _batch_inputs(args)
-    if items is None:
-        _refuse_overwriting_source(args.input, args.output)
-    else:
-        out_paths = _output_paths(items, args.output)
+    via = ""
+
+    def __init__(self, args, items, spec) -> None:
+        self.args = args
+        self.spec = spec
+        self.grammar = _load_grammar(
+            args, document_path=items[0] if items else args.input
+        )
+        if items is not None and getattr(args, "ledger", None):
+            raise SystemExit(
+                "--ledger records single-document runs only (not batch mode)"
+            )
+        self.options = {"limits": _limits_from_args(args)}
+        if spec is None:
+            self.options.update(validate=args.validate, fast=not args.no_fast)
+        else:
+            self.options["format"] = args.format
+
+    def one(self, source, out):
+        """One document, timed: the result and its seconds.  A prune
+        keeps its analysis seconds as ``analysis``."""
+        from repro import obs
+        from repro.api import prune
+        from repro.extract.api import extract
+
+        args = self.args
+        if self.spec is None:
+            op, run, status = "prune", prune, sys.stdout
+            workload, self.analysis = _projector(self.grammar, args.query)
+        else:
+            op, run, workload, status = "extract", extract, self.spec, sys.stderr
+        kwargs = dict(self.options)
+        ledger = None
+        if getattr(args, "ledger", None):
+            from repro.ledger import Ledger
+
+            ledger = Ledger(args.ledger)
+            kwargs["provenance"] = _ledger_provenance(args)
+        try:
+            with obs.timed(f"{op}.command") as span:
+                result = run(source, self.grammar, workload, out=out,
+                             ledger=ledger, **kwargs)
+                span.stop()
+            if ledger is not None:
+                print("ledger: served from recorded result" if ledger.hits
+                      else "ledger: attestation recorded", file=status)
+        finally:
+            if ledger is not None:
+                ledger.close()
+        return result, span.seconds
+
+    def many(self, items, out_dir):
+        from repro.parallel import extract_many, prune_many
+
+        args = self.args
+        if self.spec is None:
+            run, workload = prune_many, args.query
+        else:
+            run, workload = extract_many, self.spec
+        return run(items, self.grammar, workload, jobs=args.jobs,
+                   out_dir=out_dir, timeout=args.timeout, **self.options)
+
+
+class _Remote:
+    """Runs the items on the service at ``--server``.  Documents are read
+    here and shipped as markup (the server may be on another machine),
+    and what comes back is written here, so an output that is an input
+    is refused before anything is sent or written, as in a local run.  A
+    corpus prune is one ``prune_batch`` request, which the server's
+    workers run concurrently; a corpus extraction is one ``extract``
+    request per document."""
+
+    def __init__(self, args, spec) -> None:
+        if getattr(args, "ledger", None):
+            raise SystemExit(
+                "--ledger records local runs; give the flag to the server "
+                "instead (`repro-xml serve --ledger PATH`)"
+            )
+        self.args = args
+        self.spec = spec
+        self.via = f" via {args.server}"
+        self.fields = {"limits": _limits_from_args(args),
+                       **_server_grammar_kwargs(args)}
+        if spec is None:
+            from repro.api import PruneOptions
+
+            self.fields.update(queries=args.query, options=PruneOptions(
+                fast=not args.no_fast, validate=args.validate))
+        else:
+            from repro.extract.api import ExtractOptions
+
+            self.fields.update(spec=spec, options=ExtractOptions(format=args.format))
+
+    def _client(self):
+        from repro.service.client import ServiceClient
+
+        return ServiceClient.from_address(self.args.server)
+
+    def _send(self, client, source):
+        send = client.prune if self.spec is None else client.extract
+        return send(source=source, **self.fields)
+
+    def one(self, source, out):
+        from repro.run import _refuse_overwriting_source
+
+        if out is not None:
+            _refuse_overwriting_source(source, out)
+        with self._client() as client:
+            outcome = self._send(client, source)
+        return outcome, outcome.seconds
+
+    def _each(self, client, items):
+        """One request per document: its outcome, or its failure."""
+        from repro.errors import ReproError
+
+        for source in items:
+            try:
+                yield self._send(client, source)
+            except (ReproError, OSError) as exc:
+                yield exc
+
+    def many(self, items, out_dir):
+        from repro.extract.stats import ExtractStats
+        from repro.parallel import (
+            _EXTRACT_SUFFIXES,
+            BatchResult,
+            _output_paths,
+            _record_error,
+            _record_success,
+            _refuse_overwriting_sources,
+        )
+        from repro.projection.stats import PruneStats
+
+        suffix = None if self.spec is None else _EXTRACT_SUFFIXES[self.args.format]
+        out_paths = _output_paths(items, out_dir, suffix)
         _refuse_overwriting_sources(items, out_paths)
-    with ServiceClient.from_address(args.server) as client:
-        if items is None:
-            outcome = client.prune(source=args.input, **options_kwargs)
-            assert outcome.text is not None
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(outcome.text)
-            stats = outcome.stats
-            print(f"pruned via {args.server} in {outcome.seconds:.2f} s")
-            print(f"size: {stats.bytes_in} -> {stats.bytes_out} bytes "
-                  f"({stats.size_percent:.1f}% kept)")
-            print(f"nodes: {stats.nodes_in} -> {stats.nodes_out}")
-            return 0
-
-        import os
-
-        os.makedirs(args.output, exist_ok=True)
-        batch = client.prune_batch(sources=list(items), **options_kwargs)
-        failures = 0
-        for item, out_path in zip(batch.items, out_paths):
-            if isinstance(item, Exception):
-                failures += 1
-                print(f"error: {item}", file=sys.stderr)
-                continue
-            assert item.text is not None
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(item.text)
-        stats = batch.stats
-        print(f"pruned {batch.succeeded}/{len(items)} documents via "
-              f"{args.server} in {batch.seconds:.2f} s")
-        print(f"size: {stats.bytes_in} -> {stats.bytes_out} bytes "
-              f"({stats.size_percent:.1f}% kept)")
-        print(f"nodes: {stats.nodes_in} -> {stats.nodes_out}")
-        return 1 if failures else 0
+        batch = BatchResult(results=[None] * len(items),
+                            stats=PruneStats() if self.spec is None else ExtractStats())
+        started = time.perf_counter()
+        with self._client() as client:
+            os.makedirs(out_dir, exist_ok=True)
+            if self.spec is None:
+                outcomes = client.prune_batch(sources=items, **self.fields).items
+            else:
+                outcomes = self._each(client, items)
+            for index, outcome in enumerate(outcomes):
+                if isinstance(outcome, Exception):
+                    _record_error(batch, index, items[index], *_failure(outcome))
+                else:
+                    _deliver(outcome, out_paths[index])
+                    _record_success(batch, index, outcome)
+        batch.seconds = time.perf_counter() - started
+        return batch
 
 
 def cmd_prune(args) -> int:
-    from repro import obs
-    from repro.api import prune
-
-    if getattr(args, "server", None):
-        if getattr(args, "ledger", None):
-            raise SystemExit(
-                "--ledger records local runs; give the flag to the server "
-                "instead (`repro-xml serve --ledger PATH`)"
-            )
-        return _prune_via_server(args)
-
     items = _batch_inputs(args)
-    first_doc = items[0] if items else args.input
-    grammar = _load_grammar(args, document_path=first_doc)
-
-    if items is not None:
-        if getattr(args, "ledger", None):
-            raise SystemExit(
-                "--ledger records single-document runs only (not batch mode)"
-            )
-        from repro.parallel import prune_many
-
-        batch = prune_many(
-            items, grammar, args.query,
-            jobs=args.jobs, out_dir=args.output,
-            validate=args.validate, fast=not args.no_fast,
-            limits=_limits_from_args(args), timeout=args.timeout,
-        )
-        stats = batch.stats
-        print(f"pruned {batch.succeeded}/{batch.documents} documents "
-              f"with {batch.jobs} job(s) in {batch.seconds:.2f} s")
-        print(f"size: {stats.bytes_in} -> {stats.bytes_out} bytes ({stats.size_percent:.1f}% kept)")
-        print(f"nodes: {stats.nodes_in} -> {stats.nodes_out}")
-        _print_batch_errors(batch)
-        return 1 if batch.errors else 0
-
-    projector, seconds = _projector(grammar, args.query)
-    ledger = _open_ledger(args)
-    try:
-        with obs.timed("prune.command") as span:
-            result = prune(
-                args.input, grammar, projector, out=args.output,
-                validate=args.validate, fast=not args.no_fast,
-                limits=_limits_from_args(args),
-                ledger=ledger,
-                provenance=_ledger_provenance(args) if ledger else None,
-            )
-            span.stop()
-        if ledger is not None:
-            print("ledger: served from recorded result" if ledger.hits
-                  else "ledger: attestation recorded")
-    finally:
-        if ledger is not None:
-            ledger.close()
-    stats = result.stats
-    print(f"analysis: {seconds * 1000:.1f} ms, pruning: {span.seconds:.2f} s")
-    print(f"size: {stats.bytes_in} -> {stats.bytes_out} bytes ({stats.size_percent:.1f}% kept)")
-    print(f"nodes: {stats.nodes_in} -> {stats.nodes_out}")
-    return 0
-
-
-def _parse_fields(pairs):
-    """``--field NAME=RELPATH`` pairs → the ExtractSpec fields mapping
-    (declared order preserved — it is the output column order)."""
-    fields: dict[str, str] = {}
-    for item in pairs:
-        name, sep, path = item.partition("=")
-        if not sep or not name or not path:
-            raise SystemExit(f"--field expects NAME=RELPATH, got {item!r}")
-        if name in fields:
-            raise SystemExit(f"duplicate --field name {name!r}")
-        fields[name] = path
-    return fields
-
-
-def _extract_summary(stats, seconds: float, file=None) -> None:
-    print(f"extracted {stats.rows_out} row(s), {stats.nulls_out} null(s) "
-          f"in {seconds:.2f} s", file=file or sys.stdout)
-    print(f"bytes: {stats.bytes_in} in -> {stats.bytes_out} out",
-          file=file or sys.stdout)
-
-
-def _extract_via_server(args, spec) -> int:
-    """Send ``extract`` work to a running projection service.  Documents
-    are read client-side and shipped as markup; encoded records come back
-    over the socket and are written locally (stdout without ``--out``).
-    An output that is an input is refused before anything is sent or
-    written, as in a local run."""
-    import os
-
-    from repro.extract.api import ExtractOptions
-    from repro.parallel import (
-        _EXTRACT_SUFFIXES,
-        _output_paths,
-        _refuse_overwriting_sources,
-    )
-    from repro.run import _refuse_overwriting_source
-    from repro.service.client import ServiceClient
-
-    grammar_kwargs = _server_grammar_kwargs(args)
-    options = ExtractOptions(format=args.format)
-    items = _batch_inputs(args)
-    failures = 0
+    run = _runner(args, items)
     if items is None:
-        items = [args.input]
-    batch_mode = len(items) > 1 or getattr(args, "jobs", 1) != 1
-    if batch_mode:
-        if args.out is None:
-            raise SystemExit("batch extract requires --out DIRECTORY")
-        out_paths = _output_paths(items, args.out, _EXTRACT_SUFFIXES[args.format])
-        _refuse_overwriting_sources(items, out_paths)
-    else:
-        out_paths = [args.out]
-        if args.out is not None:
-            _refuse_overwriting_source(args.input, args.out)
-    with ServiceClient.from_address(args.server) as client:
-        if batch_mode:
-            os.makedirs(args.out, exist_ok=True)
-        rows = nulls = 0
-        for source, out_path in zip(items, out_paths):
-            try:
-                outcome = client.extract(
-                    source=source, spec=spec, options=options,
-                    limits=_limits_from_args(args), **grammar_kwargs,
-                )
-            except Exception as exc:
-                failures += 1
-                print(f"error: {source}: {exc}", file=sys.stderr)
-                continue
-            assert outcome.text is not None
-            if out_path is None:
-                sys.stdout.write(outcome.text)
-            else:
-                with open(out_path, "w", encoding="utf-8") as handle:
-                    handle.write(outcome.text)
-            rows += outcome.stats.rows_out
-            nulls += outcome.stats.nulls_out
-        print(f"extracted {rows} row(s), {nulls} null(s) from "
-              f"{len(items) - failures}/{len(items)} document(s) via {args.server}",
-              file=sys.stderr)
-    return 1 if failures else 0
+        result, seconds = run.one(args.input, args.output)
+        _deliver(result, args.output)
+        print(f"pruned{run.via} in {seconds:.2f} s" if run.via else
+              f"analysis: {run.analysis * 1000:.1f} ms, pruning: {seconds:.2f} s")
+        _print_sizes(result.stats)
+        return 0
+    batch = run.many(items, args.output)
+    print(f"pruned {batch.succeeded}/{batch.documents} documents"
+          f"{run.via or f' with {batch.jobs} job(s)'} in {batch.seconds:.2f} s")
+    _print_sizes(batch.stats)
+    _print_batch_errors(batch)
+    return 1 if batch.errors else 0
 
 
 def cmd_extract(args) -> int:
-    from repro import obs
-    from repro.extract import ExtractSpec, extract
+    from repro.extract import ExtractSpec
 
     spec = ExtractSpec(rows=args.rows, fields=_parse_fields(args.field), null=args.null)
-
-    if getattr(args, "server", None):
-        if getattr(args, "ledger", None):
-            raise SystemExit(
-                "--ledger records local runs; give the flag to the server "
-                "instead (`repro-xml serve --ledger PATH`)"
-            )
-        return _extract_via_server(args, spec)
-
     items = _batch_inputs(args)
-    first_doc = items[0] if items else args.input
-    grammar = _load_grammar(args, document_path=first_doc)
-
-    if items is not None:
-        if getattr(args, "ledger", None):
-            raise SystemExit(
-                "--ledger records single-document runs only (not batch mode)"
-            )
-        from repro.parallel import extract_many
-
-        if args.out is None:
-            raise SystemExit("batch extract requires --out DIRECTORY")
-        batch = extract_many(
-            items, grammar, spec,
-            jobs=args.jobs, out_dir=args.out, format=args.format,
-            limits=_limits_from_args(args), timeout=args.timeout,
-        )
-        stats = batch.stats
-        print(f"extracted {batch.succeeded}/{batch.documents} documents "
-              f"with {batch.jobs} job(s) in {batch.seconds:.2f} s")
-        print(f"rows: {stats.rows_out} ({stats.nulls_out} nulls), "
-              f"bytes: {stats.bytes_in} in -> {stats.bytes_out} out")
-        _print_batch_errors(batch)
-        return 1 if batch.errors else 0
-
-    ledger = _open_ledger(args)
-    try:
-        with obs.timed("extract.command") as span:
-            result = extract(
-                args.input, grammar, spec, out=args.out, format=args.format,
-                limits=_limits_from_args(args),
-                ledger=ledger,
-                provenance=_ledger_provenance(args) if ledger else None,
-            )
-            span.stop()
-        if ledger is not None:
-            print("ledger: served from recorded result" if ledger.hits
-                  else "ledger: attestation recorded", file=sys.stderr)
-    finally:
-        if ledger is not None:
-            ledger.close()
-    if args.out is None:
+    run = _runner(args, items, spec)
+    if items is None:
+        result, seconds = run.one(args.input, args.out)
+        _deliver(result, args.out)
         # Records to stdout, summary to stderr so the stream stays clean.
-        assert result.text is not None
-        sys.stdout.write(result.text)
-        _extract_summary(result.stats, span.seconds, file=sys.stderr)
-    else:
-        _extract_summary(result.stats, span.seconds)
-    return 0
+        stream = sys.stderr if args.out is None else sys.stdout
+        stats = result.stats
+        print(f"extracted {stats.rows_out} row(s), {stats.nulls_out} null(s)"
+              f"{run.via} in {seconds:.2f} s", file=stream)
+        print(f"bytes: {stats.bytes_in} in -> {stats.bytes_out} out", file=stream)
+        return 0
+    if args.out is None:
+        raise SystemExit("batch extract requires --out DIRECTORY")
+    batch = run.many(items, args.out)
+    stats = batch.stats
+    print(f"extracted {batch.succeeded}/{batch.documents} documents"
+          f"{run.via or f' with {batch.jobs} job(s)'} in {batch.seconds:.2f} s")
+    print(f"rows: {stats.rows_out} ({stats.nulls_out} nulls), "
+          f"bytes: {stats.bytes_in} in -> {stats.bytes_out} out")
+    _print_batch_errors(batch)
+    return 1 if batch.errors else 0
 
 
 def cmd_validate(args) -> int:
@@ -825,7 +787,7 @@ def main(argv: list[str] | None = None) -> int:
             # Structured refusals (syntax, validation, resource limits)
             # are expected outcomes on hostile input, and so is a path
             # that cannot be read or written — report, don't traceback.
-            print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+            print("error: %s: %s" % _failure(error), file=sys.stderr)
             return 1
     finally:
         if configured:

@@ -175,12 +175,6 @@ class Grammar:
         """The unique name defining elements tagged ``tag`` (or None)."""
         return self._tag_to_name.get(tag)
 
-    def element_names(self) -> frozenset[str]:
-        return frozenset(
-            name for name, production in self.productions.items()
-            if isinstance(production, ElementProduction)
-        )
-
     def tag_of(self, name: str) -> str | None:
         production = self.production(name)
         if isinstance(production, ElementProduction):

@@ -46,13 +46,6 @@ class Interpretation:
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.names
 
-    def name_of(self, node: Node) -> str:
-        return self.names[node.node_id]
-
-    def image(self, node_ids) -> frozenset[str]:
-        """``ℑ(S)`` for a set of identifiers."""
-        return frozenset(self.names[node_id] for node_id in node_ids)
-
 
 class _AutomatonCache:
     """One compiled Glushkov automaton per element production, shared by
@@ -179,8 +172,8 @@ class EventValidator:
     """Streaming validator driven one event at a time.
 
     Feed it every event in order; it raises :class:`ValidationError` on the
-    first violation.  :meth:`current_name` reports the grammar name of the
-    innermost open element, which is how the streaming pruner learns the
+    first violation.  :meth:`feed` returns the grammar name of each
+    element and text node, which is how the streaming pruner learns the
     interpretation without building the tree.
     """
 
@@ -206,11 +199,6 @@ class EventValidator:
         # Stack of [name, automaton, live state]; None before the root.
         self._stack: list[list] = []
         self._done = False
-
-    def current_name(self) -> str | None:
-        if not self._stack:
-            return None
-        return self._stack[-1][0]
 
     def feed(self, event: Event) -> str | None:
         """Process one event.  For Start/Characters events, returns the

@@ -73,10 +73,6 @@ class RunReport:
     def total_bytes(self) -> int:
         return self.document_bytes + self.eval_bytes
 
-    @property
-    def total_seconds(self) -> float:
-        return self.load_seconds + self.query_seconds
-
 
 #: Modelled bytes of evaluator working set per node touched during
 #: navigation (intermediate node-set entries, context frames).

@@ -249,6 +249,12 @@ def extract(
     return execute(assembler, source, kind, out, ledger, provenance)
 
 
+# ``repro.extract`` is this function (see ``repro._Package``), so
+# ``import repro.extract.api as api`` looks ``api`` up on it and falls
+# back to ``sys.modules[f"{extract.__name__}.api"]``.
+extract.__name__ = "repro.extract"
+
+
 def _prevalidate_inferred(
     source: "str | os.PathLike[str] | IO[str] | Iterable[Event]",
     kind: str,

@@ -20,38 +20,25 @@ via ``ledger=``, to the service via ``ServiceConfig(ledger=...)`` or
 ``repro-xml serve --ledger``, and verify with ``repro-xml verify-ledger``.
 """
 
-from repro.ledger.canonical import (
-    HashingSink,
-    canonical_json,
-    hash_canonical,
-    hash_file,
-    hash_records,
-    hash_text,
-    limits_fingerprint,
-)
-from repro.ledger.ledger import (
-    Ledger,
-    LedgerEntry,
-    ResultStore,
-    decode_stats,
-    encode_stats,
-)
-from repro.ledger.replay import Attestation, ReplayReport, replay_ledger
+from repro import _lazy
 
-__all__ = [
-    "Attestation",
-    "HashingSink",
-    "Ledger",
-    "LedgerEntry",
-    "ReplayReport",
-    "ResultStore",
-    "canonical_json",
-    "decode_stats",
-    "encode_stats",
-    "hash_canonical",
-    "hash_file",
-    "hash_records",
-    "hash_text",
-    "limits_fingerprint",
-    "replay_ledger",
-]
+_EXPORTS = {
+    "Attestation": "repro.ledger.replay",
+    "HashingSink": "repro.ledger.canonical",
+    "Ledger": "repro.ledger.ledger",
+    "LedgerEntry": "repro.ledger.ledger",
+    "ReplayReport": "repro.ledger.replay",
+    "ResultStore": "repro.ledger.ledger",
+    "canonical_json": "repro.ledger.canonical",
+    "decode_stats": "repro.ledger.ledger",
+    "encode_stats": "repro.ledger.ledger",
+    "hash_canonical": "repro.ledger.canonical",
+    "hash_file": "repro.ledger.canonical",
+    "hash_records": "repro.ledger.canonical",
+    "hash_text": "repro.ledger.canonical",
+    "limits_fingerprint": "repro.ledger.canonical",
+    "replay_ledger": "repro.ledger.replay",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

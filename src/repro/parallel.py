@@ -571,14 +571,21 @@ class _PoolRounds:
         consumes per-index crash-retry budget (bounded by
         ``crash_retried``, see :meth:`_resolve_crashed`)."""
         timeout = self.timeout
-        futures = {
-            self.pool.submit(
-                self.key, self.items[index], self.out_paths[index], self.opts, self.spec
-            ): index
-            for index in indices
-        }
+        futures: dict[Any, int] = {}
         redo: list[int] = []
         crashed: list[tuple[int, str]] = []
+        for index in indices:
+            try:
+                future = self.pool.submit(
+                    self.key, self.items[index], self.out_paths[index],
+                    self.opts, self.spec,
+                )
+            except (BrokenProcessPool, OSError, RuntimeError) as exc:
+                # The pool broke after an earlier submit: this item
+                # crashed with it, as its future would have.
+                crashed.append((index, str(exc) or type(exc).__name__))
+                continue
+            futures[future] = index
         pending = set(futures)
         first_running: dict[Any, float] = {}
         while pending:

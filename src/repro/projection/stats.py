@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.xmltree.nodes import Document, Element, Text
+
+_COUNTERS = (
+    "elements_in", "elements_out", "texts_in", "texts_out",
+    "attributes_in", "attributes_out", "bytes_in", "bytes_out",
+)
+_FIELDS = frozenset(_COUNTERS) | {"distinct_tags_in", "distinct_tags_out"}
 
 
 @dataclass(slots=True)
@@ -69,6 +76,25 @@ class PruneStats:
             "tags_in": len(self.distinct_tags_in),
             "tags_out": len(self.distinct_tags_out),
         }
+
+    # -- JSON form (the service protocol and the ledger ship stats as JSON)
+
+    def as_dict(self) -> dict[str, Any]:
+        """The eight counters, then the tag sets as sorted lists."""
+        data: dict[str, Any] = {name: getattr(self, name) for name in _COUNTERS}
+        data["distinct_tags_in"] = sorted(self.distinct_tags_in)
+        data["distinct_tags_out"] = sorted(self.distinct_tags_out)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "PruneStats":
+        unknown = set(data) - _FIELDS
+        if unknown:
+            raise ValueError(f"unknown prune stats field(s): {sorted(unknown)}")
+        stats = cls(**data)
+        stats.distinct_tags_in = set(stats.distinct_tags_in)
+        stats.distinct_tags_out = set(stats.distinct_tags_out)
+        return stats
 
     def __getstate__(self) -> tuple:
         return (

@@ -22,39 +22,26 @@ Tests and notebooks can run both halves in one process via
 :func:`serve_background`.
 """
 
-from repro.errors import (
-    ProtocolError,
-    RemoteError,
-    ServiceError,
-    ServiceOverloaded,
-    ServiceUnavailable,
-)
-from repro.service.client import (
-    RemoteBatchOutcome,
-    RemoteExtractOutcome,
-    RemoteOutcome,
-    ServiceClient,
-)
-from repro.service.config import ServiceConfig
-from repro.service.protocol import DEFAULT_MAX_FRAME_BYTES
-from repro.service.server import BackgroundServer, ProjectionServer, serve_background
-from repro.service.workers import ResidentPool, WorkerFailure
+from repro import _lazy
 
-__all__ = [
-    "DEFAULT_MAX_FRAME_BYTES",
-    "BackgroundServer",
-    "ProjectionServer",
-    "ProtocolError",
-    "RemoteBatchOutcome",
-    "RemoteError",
-    "RemoteExtractOutcome",
-    "RemoteOutcome",
-    "ResidentPool",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "ServiceOverloaded",
-    "ServiceUnavailable",
-    "WorkerFailure",
-    "serve_background",
-]
+_EXPORTS = {
+    "DEFAULT_MAX_FRAME_BYTES": "repro.service.protocol",
+    "BackgroundServer": "repro.service.server",
+    "ProjectionServer": "repro.service.server",
+    "ProtocolError": "repro.errors",
+    "RemoteBatchOutcome": "repro.service.client",
+    "RemoteError": "repro.errors",
+    "RemoteExtractOutcome": "repro.service.client",
+    "RemoteOutcome": "repro.service.client",
+    "ResidentPool": "repro.pool",
+    "ServiceClient": "repro.service.client",
+    "ServiceConfig": "repro.service.config",
+    "ServiceError": "repro.errors",
+    "ServiceOverloaded": "repro.errors",
+    "ServiceUnavailable": "repro.errors",
+    "WorkerFailure": "repro.service.server",
+    "serve_background": "repro.service.server",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

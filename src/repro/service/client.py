@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro.api import PruneOptions
-from repro.errors import ProtocolError, ServiceError
+from repro.errors import ProtocolError, RemoteError, ServiceError
 from repro.extract.api import ExtractOptions
 from repro.extract.spec import ExtractSpec
 from repro.extract.stats import ExtractStats
@@ -31,11 +31,9 @@ from repro.projection.stats import PruneStats
 from repro.run import is_markup
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
-    extract_stats_from_wire,
     raise_remote,
     recv_frame,
     send_frame,
-    stats_from_wire,
 )
 
 __all__ = [
@@ -228,7 +226,7 @@ class ServiceClient:
     @staticmethod
     def _outcome(result: dict[str, Any]) -> RemoteOutcome:
         return RemoteOutcome(
-            stats=stats_from_wire(result.get("stats", {})),
+            stats=PruneStats.from_dict(result.get("stats", {})),
             text=result.get("text"),
             output_path=result.get("output_path"),
             seconds=float(result.get("seconds", 0.0)),
@@ -334,7 +332,7 @@ class ServiceClient:
             fields["out_path"] = out_path
         result = self.request("extract", **fields)
         return RemoteExtractOutcome(
-            stats=extract_stats_from_wire(result.get("stats", {})),
+            stats=ExtractStats.from_dict(result.get("stats", {})),
             text=result.get("text"),
             output_path=result.get("output_path"),
             seconds=float(result.get("seconds", 0.0)),
@@ -400,7 +398,8 @@ class ServiceClient:
         out_dir: str | None = None,
     ) -> RemoteBatchOutcome:
         """Prune many documents in one request (admitted or refused as a
-        unit; per-item failures come back as data, not exceptions)."""
+        unit; per-item failures come back as data, not exceptions: a
+        :class:`~repro.errors.RemoteError` naming the server-side class)."""
         if (sources is None) == (source_paths is None):
             raise ValueError("pass exactly one of sources= or source_paths=")
         fields = self._common_fields(queries, projector, options, limits)
@@ -423,14 +422,13 @@ class ServiceClient:
                 items.append(self._outcome(item))
             else:
                 error = item.get("error") or {}
-                items.append(
-                    ServiceError(
-                        f"{error.get('type', 'unknown')}: {error.get('message', '')}"
-                    )
-                )
+                items.append(RemoteError(
+                    str(error.get("type", "unknown")), str(error.get("message", "")),
+                    code=int(error.get("code", 500)),
+                ))
         return RemoteBatchOutcome(
             items=items,
-            stats=stats_from_wire(result.get("stats", {})),
+            stats=PruneStats.from_dict(result.get("stats", {})),
             succeeded=int(result.get("succeeded", 0)),
             seconds=float(result.get("seconds", 0.0)),
         )

@@ -17,10 +17,9 @@ malformed frames come back as structured ``ProtocolError`` responses, and
 a frame larger than ``max_frame_bytes`` kills the connection (the length
 prefix cannot be trusted once a peer ignores the bound).
 
-This module also owns the JSON form of the dataclasses that cross the
-wire: :class:`~repro.projection.stats.PruneStats` (via
-:func:`stats_to_wire` / :func:`stats_from_wire`) and the error payloads
-(:func:`error_to_wire` / :func:`raise_remote`).
+This module also owns the JSON form of the error payloads
+(:func:`error_to_wire` / :func:`raise_remote`); stats cross the wire in
+their own ``as_dict``/``from_dict`` form.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ from repro.errors import (
     ServiceOverloaded,
     ServiceUnavailable,
 )
-from repro.extract.stats import ExtractStats
-from repro.projection.stats import PruneStats
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
@@ -50,14 +47,10 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "error_to_wire",
-    "extract_stats_from_wire",
-    "extract_stats_to_wire",
     "raise_remote",
     "read_frame",
     "recv_frame",
     "send_frame",
-    "stats_from_wire",
-    "stats_to_wire",
 ]
 
 #: Frames larger than this are refused by both ends (a pruned XMark
@@ -226,41 +219,3 @@ def raise_remote(error: dict[str, Any]) -> "None":
     if kind == "ProtocolError":
         raise ProtocolError(message)
     raise RemoteError(kind, message, code=code)
-
-
-# -- dataclass wire forms ----------------------------------------------------
-
-
-def stats_to_wire(stats: PruneStats) -> dict[str, Any]:
-    """JSON-safe form of one pass's :class:`PruneStats` counters."""
-    return {
-        "elements_in": stats.elements_in,
-        "elements_out": stats.elements_out,
-        "texts_in": stats.texts_in,
-        "texts_out": stats.texts_out,
-        "attributes_in": stats.attributes_in,
-        "attributes_out": stats.attributes_out,
-        "bytes_in": stats.bytes_in,
-        "bytes_out": stats.bytes_out,
-        "distinct_tags_in": sorted(stats.distinct_tags_in),
-        "distinct_tags_out": sorted(stats.distinct_tags_out),
-    }
-
-
-def stats_from_wire(wire: dict[str, Any]) -> PruneStats:
-    """Rebuild a :class:`PruneStats` from :func:`stats_to_wire` output."""
-    data = dict(wire)
-    data["distinct_tags_in"] = set(data.get("distinct_tags_in", ()))
-    data["distinct_tags_out"] = set(data.get("distinct_tags_out", ()))
-    return PruneStats(**data)
-
-
-def extract_stats_to_wire(stats: ExtractStats) -> dict[str, Any]:
-    """JSON-safe form of one extract pass's :class:`ExtractStats`."""
-    return stats.as_dict()
-
-
-def extract_stats_from_wire(wire: dict[str, Any]) -> ExtractStats:
-    """Rebuild an :class:`ExtractStats` from its wire form (unknown keys
-    rejected, as everywhere on this protocol)."""
-    return ExtractStats.from_dict(wire)

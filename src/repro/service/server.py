@@ -9,8 +9,8 @@ phase on every invocation; :class:`ProjectionServer` keeps it resident:
   memoizes inference across every connection;
 * parsed grammars are memoized by content hash, so thousands of requests
   shipping the same DTD text parse it once;
-* pruning runs on a persistent :class:`~repro.service.workers.
-  ResidentPool` whose workers hold the compiled prune tables pinned;
+* pruning runs on a persistent :class:`~repro.pool.ResidentPool` whose
+  workers hold the compiled prune tables pinned;
 * admission control bounds the work the server accepts: a server-wide
   in-flight cap (structured 429-style refusal when full — never a hang)
   and a per-connection pipelining cap;
@@ -53,7 +53,15 @@ from repro.extract.api import ExtractOptions, ExtractResult, RecordAssembler
 from repro.extract.spec import ExtractSpec
 from repro.extract.stats import ExtractStats
 from repro.limits import resolve_limits
-from repro.pool import FINGERPRINT_MISMATCH, WORKER_CRASH, absorb, rerun_in_parent
+from repro.pool import (
+    FINGERPRINT_MISMATCH,
+    WORKER_CRASH,
+    PinKey,
+    ResidentPool,
+    absorb,
+    rerun_in_parent,
+)
+from repro.projection.stats import PruneStats
 from repro.run import Attestation, attest, source_kind
 from repro.service.config import ServiceConfig
 from repro.service.protocol import (
@@ -61,15 +69,21 @@ from repro.service.protocol import (
     LEDGER_RECORDED,
     OPS,
     error_to_wire,
-    extract_stats_to_wire,
     read_frame,
-    stats_from_wire,
-    stats_to_wire,
 )
-from repro.service.workers import ResidentPool, WorkerFailure
 from repro.static.independence import independent
 
-__all__ = ["BackgroundServer", "ProjectionServer", "serve_background"]
+__all__ = ["BackgroundServer", "ProjectionServer", "WorkerFailure", "serve_background"]
+
+
+class WorkerFailure(Exception):
+    """A worker-side failure travelling back as data: ``kind`` is the
+    worker's exception class name (or ``worker-crash`` /
+    ``fingerprint-mismatch``), ``message`` its text."""
+
+    def __init__(self, kind: str, message: str) -> None:
+        self.kind = kind
+        super().__init__(message)
 
 
 class _Connection:
@@ -329,12 +343,10 @@ class ProjectionServer:
                 else:
                     result = await self._do_prune_batch(frame)
                 response: dict[str, Any] = {"id": req_id, "ok": True, "result": result}
-            except WorkerFailure as exc:
-                span.set(error=exc.kind)
-                response = {"id": req_id, "ok": False, "error": _failure_wire(exc)}
             except Exception as exc:
-                span.set(error=type(exc).__name__)
-                response = {"id": req_id, "ok": False, "error": error_to_wire(exc)}
+                error = _error_wire(exc)
+                span.set(error=error["type"])
+                response = {"id": req_id, "ok": False, "error": error}
             await conn.send(response)
         finally:
             self._inflight -= weight
@@ -508,11 +520,14 @@ class ProjectionServer:
             "cache": self.cache.stats.as_dict(),
         }
 
-    async def _do_run(self, frame: dict[str, Any], op: str) -> dict[str, Any]:
-        """One ``prune`` or ``extract`` request: ledger first (a recorded
-        run is served without touching the pool), then the resident pool."""
+    def _resolve(
+        self, frame: dict[str, Any], op: str
+    ) -> "tuple[MarkupWriter | RecordAssembler, PinKey]":
+        """A ``prune``/``extract`` request's consumer (its grammar, its
+        projector or spec, its options) and the pool key of its compiled
+        pruner."""
         grammar = self._grammar_from(frame)
-        spec = None
+        consumer: "MarkupWriter | RecordAssembler"
         if op == "extract":
             spec_wire = frame.get("spec")
             if not isinstance(spec_wire, dict):
@@ -525,17 +540,28 @@ class ProjectionServer:
             # The spec's union projector resolves through the shared cache —
             # repeated workloads hit on the spec's content fingerprint.
             projector = self.cache.projector_for_spec(grammar, spec)
-            consumer: "MarkupWriter | RecordAssembler" = RecordAssembler(
-                grammar, projector, spec, options
-            )
+            consumer = RecordAssembler(grammar, projector, spec, options)
         else:
             projector = self._projector_from(frame, grammar)
-            options = self._options_from(frame, PruneOptions)
-            consumer = MarkupWriter(grammar, projector, options)
-        source = self._source_from(frame.get("source"))
-        out_path = frame.get("out_path")
-        if out_path is not None and not isinstance(out_path, str):
-            raise ProtocolError("'out_path' must be a string path")
+            consumer = MarkupWriter(
+                grammar, projector, self._options_from(frame, PruneOptions)
+            )
+        key = self.pool.pin(
+            grammar, projector, getattr(consumer.options, "prune_attributes", True)
+        )
+        return consumer, key
+
+    async def _run(
+        self,
+        frame: dict[str, Any],
+        consumer: "MarkupWriter | RecordAssembler",
+        key: PinKey,
+        source: str,
+        out_path: str | None,
+    ) -> "tuple[PruneStats | ExtractStats, dict[str, Any]]":
+        """One source of a resolved request: the ledger first (a recorded
+        run is served without touching the pool), then the resident pool.
+        Returns the run's stats and its wire payload."""
         started = time.perf_counter()
         entry = None
         if self._ledger is not None:
@@ -543,28 +569,34 @@ class ProjectionServer:
             if entry is not None and consumer.servable:
                 served = await asyncio.to_thread(entry.serve, consumer, out_path)
                 if served is not None:
-                    payload = _result_wire(
-                        served, stats=_stats_wire(served.stats), worker=None,
-                        ledger=LEDGER_HIT,
+                    return served.stats, _result_wire(
+                        served, stats=served.stats.as_dict(), worker=None,
+                        ledger=LEDGER_HIT, seconds=time.perf_counter() - started,
                     )
-                    payload["seconds"] = time.perf_counter() - started
-                    return payload
-        key = self.pool.pin(
-            grammar, projector, getattr(options, "prune_attributes", True)
+        result, worker = await self._execute_pooled(
+            key, source, out_path, consumer.options, getattr(consumer, "spec", None)
         )
-        result, worker = await self._execute_pooled(key, source, out_path, options, spec)
         payload = _result_wire(
-            result, stats=_stats_wire(result.stats),
+            result, stats=result.stats.as_dict(),
             seconds=time.perf_counter() - started, worker=worker,
         )
         if entry is not None:
             await asyncio.to_thread(
-                entry.record, op, result.stats,
+                entry.record, consumer.op, result.stats,
                 text=result.text, output_path=result.output_path,
                 records=getattr(result, "records", None),
             )
             payload["ledger"] = LEDGER_RECORDED
-        return payload
+        return result.stats, payload
+
+    async def _do_run(self, frame: dict[str, Any], op: str) -> dict[str, Any]:
+        """One ``prune`` or ``extract`` request."""
+        consumer, key = self._resolve(frame, op)
+        source = self._source_from(frame.get("source"))
+        out_path = frame.get("out_path")
+        if out_path is not None and not isinstance(out_path, str):
+            raise ProtocolError("'out_path' must be a string path")
+        return (await self._run(frame, consumer, key, source, out_path))[1]
 
     async def _do_check_update(self, frame: dict[str, Any]) -> dict[str, Any]:
         """The update-independence judgment, wired into pin retention:
@@ -604,51 +636,40 @@ class ProjectionServer:
         }
 
     async def _do_prune_batch(self, frame: dict[str, Any]) -> dict[str, Any]:
+        """Many sources of one resolved ``prune`` request, each run
+        through the ``prune`` op's body (:meth:`_run`), ledger included;
+        per-item failures come back as data."""
         from repro.parallel import _output_paths
-        from repro.projection.stats import PruneStats
 
-        grammar = self._grammar_from(frame)
-        projector = self._projector_from(frame, grammar)
-        options = self._options_from(frame, PruneOptions)
+        consumer, key = self._resolve(frame, "prune")
         sources_wire = frame.get("sources")
         if not isinstance(sources_wire, list):
             raise ProtocolError("prune_batch needs a 'sources' list")
         sources = [self._source_from(item) for item in sources_wire]
         out_dir = frame.get("out_dir")
-        out_paths: list[str | None]
+        out_paths: list[str | None] = [None] * len(sources)
         if out_dir is not None:
             if not isinstance(out_dir, str):
                 raise ProtocolError("'out_dir' must be a string path")
             os.makedirs(out_dir, exist_ok=True)
             out_paths = list(_output_paths(sources, out_dir))
-        else:
-            out_paths = [None] * len(sources)
-        key = self.pool.pin(grammar, projector, options.prune_attributes)
+        merged = PruneStats()
         started = time.perf_counter()
 
         async def one(source: str, out_path: str | None) -> dict[str, Any]:
             try:
-                result, worker = await self._execute_pooled(
-                    key, source, out_path, options
-                )
-            except WorkerFailure as exc:
-                return {"ok": False, "error": _failure_wire(exc)}
+                stats, payload = await self._run(frame, consumer, key, source, out_path)
             except Exception as exc:
-                return {"ok": False, "error": error_to_wire(exc)}
-            return _result_wire(
-                result, ok=True, stats=stats_to_wire(result.stats), worker=worker
-            )
+                return {"ok": False, "error": _error_wire(exc)}
+            merged.merge(stats)
+            return {"ok": True, **payload}
 
         items = await asyncio.gather(
             *(one(source, out) for source, out in zip(sources, out_paths))
         )
-        merged = PruneStats()
-        for item in items:
-            if item["ok"]:
-                merged.merge(stats_from_wire(item["stats"]))
         return {
-            "items": list(items),
-            "stats": stats_to_wire(merged),
+            "items": items,
+            "stats": merged.as_dict(),
             "succeeded": sum(1 for item in items if item["ok"]),
             "seconds": time.perf_counter() - started,
         }
@@ -742,12 +763,6 @@ class ProjectionServer:
                 obs.count("service.respawns")
 
 
-def _stats_wire(stats: Any) -> dict[str, Any]:
-    if isinstance(stats, ExtractStats):
-        return extract_stats_to_wire(stats)
-    return stats_to_wire(stats)
-
-
 def _result_wire(result: "PruneResult | ExtractResult", **head: Any) -> dict[str, Any]:
     """A result's wire payload: ``head`` first, then the collected text
     or the output path, whichever the run produced."""
@@ -758,12 +773,15 @@ def _result_wire(result: "PruneResult | ExtractResult", **head: Any) -> dict[str
     return head
 
 
-def _failure_wire(exc: WorkerFailure) -> dict[str, Any]:
-    return {
-        "type": exc.kind,
-        "code": 500 if exc.kind == WORKER_CRASH else 422,
-        "message": str(exc),
-    }
+def _error_wire(exc: Exception) -> dict[str, Any]:
+    """A failed request's (or batch item's) ``error`` object."""
+    if isinstance(exc, WorkerFailure):
+        return {
+            "type": exc.kind,
+            "code": 500 if exc.kind == WORKER_CRASH else 422,
+            "message": str(exc),
+        }
+    return error_to_wire(exc)
 
 
 # -- in-process serving (tests, notebooks, docs) -----------------------------

@@ -17,7 +17,6 @@ from repro.dtd.grammar import (
     text_name,
 )
 from repro.dtd.regex import Alt, Atom, Epsilon, Opt, Plus, Regex, Seq, Star
-from repro.dtd.validator import Interpretation
 from repro.xmltree.nodes import Document, Element, Text
 from repro.xpath.ast import Axis, KindTest, NameTest
 from repro.xpath.xpathl import LStep, PathL, SimplePath
@@ -237,14 +236,6 @@ def _random_step(rng: random.Random, tags: list[str], with_conditions: bool) -> 
             disjuncts.append(SimplePath(tuple(simple_steps)))
         condition = tuple(disjuncts)
     return LStep(axis, test, condition)
-
-
-def random_interpretation(grammar: Grammar, document: Document) -> Interpretation:
-    """Validate and return ℑ (sampled documents are valid by construction,
-    so this never fails)."""
-    from repro.dtd.validator import validate
-
-    return validate(document, grammar)
 
 
 def random_extract_spec(grammar: Grammar, seed: int):

@@ -167,11 +167,6 @@ class Element(Node):
             if isinstance(node, Element):
                 stack.extend(reversed(node.children))
 
-    def child_elements(self) -> Iterator["Element"]:
-        for child in self.children:
-            if isinstance(child, Element):
-                yield child
-
     def find_children(self, tag: str) -> Iterator["Element"]:
         """Child elements with the given tag, in document order."""
         for child in self.children:

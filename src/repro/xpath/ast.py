@@ -31,35 +31,8 @@ class Axis(Enum):
     ATTRIBUTE = "attribute"
 
     @property
-    def is_forward(self) -> bool:
-        return self in _FORWARD_AXES
-
-    @property
-    def is_downward(self) -> bool:
-        """Downward in the paper's sense (XPathℓ keeps these)."""
-        return self in (
-            Axis.CHILD,
-            Axis.DESCENDANT,
-            Axis.DESCENDANT_OR_SELF,
-            Axis.ATTRIBUTE,
-        )
-
-    @property
     def is_upward(self) -> bool:
         return self in (Axis.PARENT, Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF)
-
-
-_FORWARD_AXES = frozenset(
-    (
-        Axis.CHILD,
-        Axis.DESCENDANT,
-        Axis.DESCENDANT_OR_SELF,
-        Axis.FOLLOWING,
-        Axis.FOLLOWING_SIBLING,
-        Axis.SELF,
-        Axis.ATTRIBUTE,
-    )
-)
 
 
 # -- node tests ---------------------------------------------------------------

@@ -6,46 +6,28 @@ The projector pipeline for XQuery::
        --infer projector per Pi, union-->  π
 """
 
-from repro.xquery.ast import (
-    AttributeValue,
-    ElementConstructor,
-    EmptySequence,
-    ForExpr,
-    IfExpr,
-    LetExpr,
-    OrderByExpr,
-    QExpr,
-    QuantifiedExpr,
-    Sequence,
-    free_variables,
-)
-from repro.xquery.evaluator import (
-    XQueryEvaluator,
-    effective_boolean,
-    evaluate_xquery,
-    serialize_sequence,
-)
-from repro.xquery.extraction import extract_paths
-from repro.xquery.parser import parse_xquery
-from repro.xquery.rewrite import rewrite_query
+from repro import _lazy
 
-__all__ = [
-    "AttributeValue",
-    "ElementConstructor",
-    "EmptySequence",
-    "ForExpr",
-    "IfExpr",
-    "LetExpr",
-    "OrderByExpr",
-    "QExpr",
-    "QuantifiedExpr",
-    "Sequence",
-    "XQueryEvaluator",
-    "effective_boolean",
-    "evaluate_xquery",
-    "extract_paths",
-    "free_variables",
-    "parse_xquery",
-    "rewrite_query",
-    "serialize_sequence",
-]
+_EXPORTS = {
+    "AttributeValue": "repro.xquery.ast",
+    "ElementConstructor": "repro.xquery.ast",
+    "EmptySequence": "repro.xquery.ast",
+    "ForExpr": "repro.xquery.ast",
+    "IfExpr": "repro.xquery.ast",
+    "LetExpr": "repro.xquery.ast",
+    "OrderByExpr": "repro.xquery.ast",
+    "QExpr": "repro.xquery.ast",
+    "QuantifiedExpr": "repro.xquery.ast",
+    "Sequence": "repro.xquery.ast",
+    "XQueryEvaluator": "repro.xquery.evaluator",
+    "effective_boolean": "repro.xquery.evaluator",
+    "evaluate_xquery": "repro.xquery.evaluator",
+    "extract_paths": "repro.xquery.extraction",
+    "free_variables": "repro.xquery.ast",
+    "parse_xquery": "repro.xquery.parser",
+    "rewrite_query": "repro.xquery.rewrite",
+    "serialize_sequence": "repro.xquery.evaluator",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.surface(__name__, _EXPORTS)

@@ -289,3 +289,91 @@ def test_batch_workers_fork_with_the_run_path_loaded(tmp_path):
         "print(json.dumps([after for before, after in reports if after != before]))\n"
     )
     assert json.loads(_fresh(run)) == []
+
+
+@pytest.mark.parametrize("package", [name for name in _packages() if name != "repro"])
+def test_importing_a_package_loads_only_the_package(package):
+    """A package's names load on first use: importing it loads the
+    package and its parents, nothing they re-export."""
+    parts = package.split(".")
+    expected = ["repro._lazy"] + [".".join(parts[:end]) for end in range(1, len(parts) + 1)]
+    assert json.loads(_fresh(f"import {package}\n" + _LOADED)) == sorted(expected)
+
+
+#: What the ``--server`` client loads: the run path's option and stats
+#: types and the protocol, not the server, its pool or its workers.
+#: Edit deliberately.
+CLIENT_MODULES = [
+    "repro",
+    "repro._lazy",
+    "repro.api",
+    "repro.core",
+    "repro.core.cache",
+    "repro.core.inference",
+    "repro.core.pipeline",
+    "repro.core.projector",
+    "repro.core.types",
+    "repro.dtd",
+    "repro.dtd.ast",
+    "repro.dtd.automaton",
+    "repro.dtd.grammar",
+    "repro.dtd.regex",
+    "repro.dtd.validator",
+    "repro.errors",
+    "repro.extract",
+    "repro.extract.api",
+    "repro.extract.records",
+    "repro.extract.spec",
+    "repro.extract.stats",
+    "repro.extract.streaming",
+    "repro.limits",
+    "repro.obs",
+    "repro.projection",
+    "repro.projection.fastpath",
+    "repro.projection.prunetable",
+    "repro.projection.stats",
+    "repro.projection.streaming",
+    "repro.querylang",
+    "repro.run",
+    "repro.service",
+    "repro.service.client",
+    "repro.service.protocol",
+    "repro.static",
+    "repro.static.sat",
+    "repro.xmltree",
+    "repro.xmltree.events",
+    "repro.xmltree.lexer",
+    "repro.xmltree.nodes",
+    "repro.xmltree.parser",
+    "repro.xmltree.serializer",
+    "repro.xpath",
+    "repro.xpath.approximation",
+    "repro.xpath.ast",
+    "repro.xpath.functions",
+    "repro.xpath.lexer",
+    "repro.xpath.parser",
+    "repro.xpath.values",
+    "repro.xpath.xpathl",
+]
+
+
+def test_the_service_client_leaves_the_server_unloaded():
+    loaded = json.loads(
+        _fresh("from repro.service.client import ServiceClient\n" + _LOADED)
+    )
+    assert loaded == CLIENT_MODULES
+
+
+def test_a_module_of_the_extract_package_imports_under_a_name():
+    """``repro.extract`` is the facade function, and ``import
+    repro.extract.api as api`` still binds the module."""
+    check = (
+        "import sys\n"
+        "import repro.extract.api as api\n"
+        "import repro.extract.spec as spec\n"
+        "import repro\n"
+        "print(api is sys.modules['repro.extract.api'],\n"
+        "      spec is sys.modules['repro.extract.spec'],\n"
+        "      repro.extract is api.extract)\n"
+    )
+    assert _fresh(check).split() == ["True", "True", "True"]

@@ -1,6 +1,7 @@
 """CLI tests driving ``repro-xml`` subcommands through main()."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -242,3 +243,93 @@ class TestServerRunsKeepTheirInputs:
              "--field", "t=title/text()", xml, "--out", xml],
             server, capsys, [tmp_path / "bib.xml"],
         )
+
+
+MALFORMED = "<bib><book><title>x</book></bib>"
+
+#: The seven modes, each an argv without its grammar flags: ROWS stands
+#: for the extraction's --rows/--field flags, OUT for the output path.
+SERVER_MODES = {
+    "prune one document": ["prune", "--query", "//title", "bib.xml", "OUT"],
+    "prune a malformed document": ["prune", "--query", "//title", "bad.xml", "OUT"],
+    "prune the corpus": ["prune", "--query", "//title", "corpus", "OUT"],
+    "extract to stdout": ["extract", "ROWS", "bib.xml"],
+    "extract --out FILE": ["extract", "ROWS", "bib.xml", "--out", "OUT"],
+    "extract a malformed document": ["extract", "ROWS", "bad.xml"],
+    "extract the corpus": ["extract", "ROWS", "corpus", "--out", "OUT"],
+}
+
+
+class TestServerRunsPrintWhatLocalRunsPrint:
+    """A ``--server`` run prints what the local run prints — the same
+    lines on the same streams in the same order, the same exit status
+    and the same output files — except the one timing line, which names
+    the server."""
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        from repro.core.cache import ProjectorCache
+        from repro.service import ServiceConfig, serve_background
+
+        with serve_background(
+            ServiceConfig(port=0, jobs=2), cache=ProjectorCache()
+        ) as background:
+            yield f"127.0.0.1:{background.port}"
+
+    @staticmethod
+    def _run(argv, workspace, out, capsys):
+        tmp_path, dtd, _ = workspace
+        command, *rest = argv
+        flags = ["--dtd", dtd, "--root", "bib"]
+        rows = ["--rows", "/bib/book", "--field", "t=title/text()",
+                "--field", "y=year/text()"]
+        resolved = []
+        for item in rest:
+            if item == "ROWS":
+                resolved += rows
+            elif item == "OUT":
+                resolved.append(str(out))
+            elif item.endswith(".xml") or item == "corpus":
+                resolved.append(str(tmp_path / item))
+            else:
+                resolved.append(item)
+        code = main([command, *flags, *resolved])
+        captured = capsys.readouterr()
+        files = {}
+        if out.is_file():
+            files["OUT"] = out.read_text()
+        elif out.is_dir():
+            files = {path.name: path.read_text() for path in sorted(out.iterdir())}
+        return code, captured.out, captured.err, files
+
+    @pytest.mark.parametrize("mode", list(SERVER_MODES))
+    def test_mode(self, mode, workspace, server, capsys):
+        tmp_path, _, _ = workspace
+        (tmp_path / "bad.xml").write_text(MALFORMED)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a", "b", "c"):
+            (corpus / f"{name}.xml").write_text(MALFORMED if name == "b" else BOOK_XML)
+        argv = SERVER_MODES[mode]
+        local = self._run(argv, workspace, tmp_path / "local", capsys)
+        remote = self._run(
+            [argv[0], "--server", server, *argv[1:]], workspace,
+            tmp_path / "remote", capsys,
+        )
+        timing = re.compile(
+            r"^(analysis: [\d.]+ ms, pruning: [\d.]+ s"
+            r"|pruned via \S+ in [\d.]+ s"
+            r"|(.*?)( with \d+ job\(s\)| via \S+)? in [\d.]+ s)$",
+            re.M,
+        )
+
+        def masked(text, where):
+            lines = [match.group(0) for match in timing.finditer(text)]
+            if lines:
+                assert len(lines) == 1, text
+                assert (f"via {server} in " in lines[0]) == (where == "remote"), lines
+            return timing.sub(lambda match: f"{match.group(2) or ''}<timing>", text)
+
+        code, out, err, files = local
+        assert (remote[0], masked(remote[1], "remote"), masked(remote[2], "remote"),
+                remote[3]) == (code, masked(out, "local"), masked(err, "local"), files)

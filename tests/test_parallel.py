@@ -337,6 +337,39 @@ class TestPool:
         assert [error.index for error in batch.errors] == list(range(len(corpus)))
 
     @pytest.mark.skipif(not HAS_FORK, reason="crash injection requires fork")
+    def test_pool_broken_between_two_submits_yields_structured_errors(
+        self, corpus, book_grammar, monkeypatch
+    ):
+        """A submit to a pool that broke after an earlier submit raises at
+        once; that item crashed with the pool, like a pending one."""
+        import time as _time
+
+        import repro.parallel as parallel
+        import repro.pool as pool
+
+        monkeypatch.setattr(
+            pool, "_execute_item", lambda *args: os._exit(13)
+        )
+        submit = pool.ResidentPool.submit
+        calls = []
+
+        def submit_once_broken(self, *args):
+            if calls:
+                # Every submit after the first finds the pool broken.
+                deadline = _time.monotonic() + 5
+                while not self._executor._broken and _time.monotonic() < deadline:
+                    _time.sleep(0.01)
+            calls.append(args)
+            return submit(self, *args)
+
+        monkeypatch.setattr(pool.ResidentPool, "submit", submit_once_broken)
+        batch = prune_many(corpus, book_grammar, QUERY, jobs=2)
+        assert len(calls) == len(corpus) == 6
+        assert batch.succeeded == 0
+        assert {error.kind for error in batch.errors} == {parallel.WORKER_CRASH}
+        assert [error.index for error in batch.errors] == list(range(6))
+
+    @pytest.mark.skipif(not HAS_FORK, reason="crash injection requires fork")
     def test_crash_then_clean_run_reuses_nothing_stale(self, corpus, book_grammar, monkeypatch):
         import repro.pool as pool
 

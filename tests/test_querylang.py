@@ -73,7 +73,7 @@ class TestEngineRouting:
 
 class TestCliRouting:
     def test_cli_uses_same_detection(self):
-        from repro.cli import _is_xquery
+        from repro.querylang import looks_like_xquery
 
-        assert _is_xquery("for $b in /bib return $b")
-        assert not _is_xquery('//listitem[text()=" return me"]')
+        assert looks_like_xquery("for $b in /bib return $b")
+        assert not looks_like_xquery('//listitem[text()=" return me"]')

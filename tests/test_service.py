@@ -36,14 +36,13 @@ from repro.errors import (
     ServiceUnavailable,
 )
 from repro.limits import Limits
+from repro.projection.stats import PruneStats
 from repro.service import ServiceClient, ServiceConfig, serve_background
 from repro.service.protocol import (
     decode_frame,
     encode_frame,
     recv_frame,
     send_frame,
-    stats_from_wire,
-    stats_to_wire,
 )
 from tests.conftest import BOOK_DTD, BOOK_XML
 
@@ -97,7 +96,7 @@ class TestProtocol:
     def test_stats_roundtrip(self, book_grammar):
         projector = resolve_projector(book_grammar, [QUERY])
         stats = repro.prune(BOOK_XML, book_grammar, projector).stats
-        assert stats_from_wire(stats_to_wire(stats)) == stats
+        assert PruneStats.from_dict(stats.as_dict()) == stats
 
     def test_garbage_frame_answered_then_connection_dropped(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
@@ -1027,3 +1026,102 @@ class TestServiceLedger:
                 stats = client.stats()
                 assert stats["ledger"]["entries"] == 1
                 assert stats["ledger"]["hits"] == 1
+
+    def test_batch_items_recorded_then_served(self, tmp_path, book_grammar):
+        """``prune_batch`` items go through the ledger as ``prune``
+        requests do: each recorded once, and an identical repeat batch
+        served from the store with the same bytes and stats."""
+        led = tmp_path / "ledger.jsonl"
+        sources = [BOOK_XML, BOOK_XML.replace("Dante", "Alighieri")]
+        config = ServiceConfig(port=0, jobs=2, ledger=str(led))
+        with serve_background(config, cache=ProjectorCache()) as background:
+            with ServiceClient("127.0.0.1", background.port) as client:
+                first = client.prune_batch(
+                    sources, dtd=BOOK_DTD, root="bib", queries=[QUERY]
+                )
+                assert client.stats()["ledger"]["entries"] == 2
+                second = client.prune_batch(
+                    sources, dtd=BOOK_DTD, root="bib", queries=[QUERY]
+                )
+                stats = client.stats()["ledger"]
+        assert [item.ledger for item in first.items] == ["recorded"] * 2
+        assert [item.ledger for item in second.items] == ["hit"] * 2
+        assert [item.text for item in second.items] == [
+            item.text for item in first.items
+        ] == [_expected_text(book_grammar, source) for source in sources]
+        assert [item.stats for item in second.items] == [
+            item.stats for item in first.items
+        ]
+        assert second.stats == first.stats
+        assert stats == {"enabled": True, "entries": 2, "hits": 2, "records": 2}
+
+    def test_batch_path_items_replay_offline(self, tmp_path, capsys):
+        from repro.cli import main
+
+        led = tmp_path / "ledger.jsonl"
+        paths = []
+        for i in range(2):
+            paths.append(tmp_path / f"doc{i}.xml")
+            paths[-1].write_text(BOOK_XML.replace("Dante", f"Dante{i}"))
+        out_dir = tmp_path / "pruned"
+        config = ServiceConfig(port=0, jobs=2, ledger=str(led))
+        with serve_background(config, cache=ProjectorCache()) as background:
+            with ServiceClient("127.0.0.1", background.port) as client:
+                batch = client.prune_batch(
+                    source_paths=[str(path) for path in paths],
+                    out_dir=str(out_dir), dtd=BOOK_DTD, root="bib",
+                    queries=[QUERY],
+                )
+        assert [item.ledger for item in batch.items] == ["recorded"] * 2
+        assert main(["verify-ledger", "--ledger", str(led)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "replayed 2 entries: 2 attested, 0 divergent, 0 skipped"
+        )
+
+
+class TestStatsForms:
+    """The JSON form of one pass's stats, key for key, as the service
+    sends it and as the ledger stores it: old clients, servers and
+    ledgers read these, and ledger entry hashes are over them."""
+
+    PRUNE = {
+        "elements_in": 15, "elements_out": 7, "texts_in": 11, "texts_out": 3,
+        "attributes_in": 3, "attributes_out": 0, "bytes_in": 311,
+        "bytes_out": 128,
+        "distinct_tags_in": ["author", "bib", "book", "price", "title", "year"],
+        "distinct_tags_out": ["bib", "book", "title"],
+    }
+    EXTRACT = {
+        "rows_out": 3, "fields_out": 5, "nulls_out": 1, "bytes_in": 311,
+        "bytes_out": 91,
+    }
+    SPEC = {"rows": "/bib/book", "fields": {"t": "title/text()", "y": "year/text()"}}
+
+    def test_the_wire_form(self, client):
+        grammar = {"dtd": BOOK_DTD, "root": "bib"}
+        pruned = client.request(
+            "prune", grammar=grammar, queries=[QUERY], source=BOOK_XML
+        )
+        extracted = client.request(
+            "extract", grammar=grammar, spec=self.SPEC, source=BOOK_XML
+        )
+        assert list(pruned["stats"].items()) == list(self.PRUNE.items())
+        assert list(extracted["stats"].items()) == list(self.EXTRACT.items())
+
+    def test_an_unknown_key_is_refused(self):
+        with pytest.raises(ValueError, match="bogus"):
+            PruneStats.from_dict({**self.PRUNE, "bogus": 1})
+
+    def test_the_ledger_form(self, tmp_path, book_grammar):
+        from repro.ledger import Ledger
+
+        spec = repro.ExtractSpec(rows=self.SPEC["rows"], fields=self.SPEC["fields"])
+        projector = repro.analyze(book_grammar, [QUERY]).projector
+        with Ledger(str(tmp_path / "ledger.jsonl")) as ledger:
+            repro.prune(BOOK_XML, book_grammar, projector, ledger=ledger)
+            repro.extract(BOOK_XML, book_grammar, spec, ledger=ledger)
+            stored = [entry.stats for entry in ledger.entries]
+        assert [list(stats.items()) for stats in stored] == [
+            [("kind", "prune"), *self.PRUNE.items()],
+            [("kind", "extract"), *self.EXTRACT.items()],
+        ]
